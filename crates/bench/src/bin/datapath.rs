@@ -239,8 +239,7 @@ fn main() {
         json.push_str(&arm_json(a));
     }
     json.push_str("]}}\n");
-    std::fs::write("BENCH_datapath.json", &json).expect("writing BENCH_datapath.json");
-    println!("wrote BENCH_datapath.json");
+    args.write_report("BENCH_datapath.json", &json);
 
     // Regression gate: the optimised data path must be strictly faster and
     // strictly cheaper than the baseline, at any scale.

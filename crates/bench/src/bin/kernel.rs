@@ -417,8 +417,7 @@ fn main() {
         ",\"gates\":{{\"map_speedup_min\":5.0,\"map_speedup\":{speedup:.2},\"burst_replay_identical\":{replay_identical}}}}}"
     );
     json.push('\n');
-    std::fs::write("BENCH_kernel.json", &json).expect("writing BENCH_kernel.json");
-    println!("wrote BENCH_kernel.json");
+    args.write_report("BENCH_kernel.json", &json);
 
     // Regression gates, at any scale.
     assert!(

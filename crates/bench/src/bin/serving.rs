@@ -410,8 +410,7 @@ fn main() {
         burst == burst_again,
     );
     json.push('\n');
-    std::fs::write("BENCH_serving.json", &json).expect("writing BENCH_serving.json");
-    println!("wrote BENCH_serving.json");
+    args.write_report("BENCH_serving.json", &json);
 
     // Regression gates, at any scale.
     assert_eq!(

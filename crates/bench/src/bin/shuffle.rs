@@ -221,8 +221,7 @@ fn main() {
         "],\"time_reduction_pct\":{time_cut:.1},\"cos_ops_ratio\":{ops_ratio:.2}}}"
     );
     json.push('\n');
-    std::fs::write("BENCH_shuffle.json", &json).expect("writing BENCH_shuffle.json");
-    println!("wrote BENCH_shuffle.json");
+    args.write_report("BENCH_shuffle.json", &json);
 
     // Regression gates, at any scale.
     assert!(

@@ -4,13 +4,16 @@
 //! paper's evaluation (§6). They print the paper's reported numbers next to
 //! the measured ones so the shape comparison is immediate. All binaries
 //! accept `--smoke` to run a reduced-scale variant (used by the test
-//! suite) and `--seed N` to change the deterministic seed.
+//! suite) and `--seed N` to change the deterministic seed. The benches that
+//! write a `BENCH_*.json` report write the committed file at the repository
+//! root only at full scale; smoke reports go under `target/bench/`.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 use std::fmt::Write as _;
+use std::path::{Path, PathBuf};
 
 use rustwren_core::stats::ConcurrencyPoint;
 
@@ -48,6 +51,27 @@ impl BenchArgs {
             }
         }
         args
+    }
+
+    /// Writes a bench's JSON report and says where. Full-scale runs write
+    /// the committed `file` at the working directory (the repository
+    /// root); smoke runs write under `target/bench/`, so a reduced-scale
+    /// run can never overwrite a committed full-scale artifact.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the report cannot be written.
+    pub fn write_report(&self, file: &str, json: &str) {
+        let path = if self.smoke {
+            let dir = Path::new("target").join("bench");
+            std::fs::create_dir_all(&dir)
+                .unwrap_or_else(|e| panic!("creating {}: {e}", dir.display()));
+            dir.join(file)
+        } else {
+            PathBuf::from(file)
+        };
+        std::fs::write(&path, json).unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
+        println!("wrote {}", path.display());
     }
 
     /// Scales an experiment size down in smoke mode.

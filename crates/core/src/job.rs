@@ -24,7 +24,7 @@ use std::time::Duration;
 use bytes::Bytes;
 use rustwren_faas::{ActionError, ActivationCtx};
 use rustwren_sim::hash::hash2;
-use rustwren_store::CosClient;
+use rustwren_store::{CosClient, GetReq, StoreError, SDK_LANES};
 
 use crate::cloud::{CloudInner, SimCloud};
 use crate::error::PywrenError;
@@ -83,26 +83,66 @@ pub(crate) fn get_stamped_raw(
     bucket: &str,
     key: &str,
 ) -> crate::error::Result<Bytes> {
-    // A stamp failure means the *read* was corrupted — the stored object is
-    // intact — so a couple of immediate re-fetches usually heal it without
-    // burning a whole task attempt.
-    let mut last = None;
+    get_many_stamped(cos, &[GetReq::whole(bucket, key)])
+        .pop()
+        .unwrap_or_else(|| Err(unread(bucket, key)))
+}
+
+/// Reads a batch of stamped objects (or stamped slices of objects) over
+/// the SDK's [`SDK_LANES`] concurrent connections and verifies each
+/// checksum, returning the whole stamped representation per request. A
+/// stamp failure means the *read* was corrupted — the stored object is
+/// intact — so the failed entries are re-fetched together, up to three
+/// reads each, before surfacing [`PywrenError::Integrity`]. A batch of one
+/// is exactly a serial GET-and-verify loop.
+fn get_many_stamped(cos: &CosClient, reqs: &[GetReq<'_>]) -> Vec<crate::error::Result<Bytes>> {
+    let mut out: Vec<Option<crate::error::Result<Bytes>>> = reqs.iter().map(|_| None).collect();
+    let mut pending: Vec<usize> = (0..reqs.len()).collect();
     for _ in 0..3 {
-        let raw = cos.get(bucket, key).map_err(PywrenError::Storage)?;
-        match wire::verify_stamped(&raw) {
-            Ok(_) => return Ok(raw),
-            Err(e) => {
-                last = Some(PywrenError::Integrity {
-                    key: format!("{bucket}/{key}"),
-                    detail: e.to_string(),
-                });
+        if pending.is_empty() {
+            break;
+        }
+        let batch: Vec<GetReq<'_>> = pending
+            .iter()
+            .filter_map(|&i| reqs.get(i).copied())
+            .collect();
+        let mut corrupted = Vec::new();
+        for ((&i, req), read) in pending
+            .iter()
+            .zip(&batch)
+            .zip(cos.get_many(&batch, SDK_LANES))
+        {
+            let result = read.map_err(PywrenError::Storage).and_then(|raw| {
+                match wire::verify_stamped(&raw) {
+                    Ok(_) => Ok(raw),
+                    Err(e) => {
+                        corrupted.push(i);
+                        Err(PywrenError::Integrity {
+                            key: format!("{}/{}", req.bucket, req.key),
+                            detail: e.to_string(),
+                        })
+                    }
+                }
+            });
+            if let Some(slot) = out.get_mut(i) {
+                *slot = Some(result);
             }
         }
+        pending = corrupted;
     }
-    Err(last.unwrap_or_else(|| PywrenError::Integrity {
+    out.into_iter()
+        .zip(reqs)
+        .map(|(r, req)| r.unwrap_or_else(|| Err(unread(req.bucket, req.key))))
+        .collect()
+}
+
+/// The error of a read that was never attempted (unreachable by
+/// construction, but typed rather than a panic on the agent hot path).
+fn unread(bucket: &str, key: &str) -> PywrenError {
+    PywrenError::Integrity {
         key: format!("{bucket}/{key}"),
         detail: "no read attempts were made".to_owned(),
-    }))
+    }
 }
 
 /// Reads a staged object and verifies its checksum stamp, surfacing a
@@ -768,28 +808,33 @@ fn build_shuffle_reduce_input(
         .unwrap_or(16)
         .max(2) as usize;
 
-    // Gather each map's partition as soon as its status lands, slotted by
-    // dep index; runs are then merged in dep order, so the grouped output is
-    // bitwise-identical to a barrier-then-gather pass.
-    let mut slots: Vec<Option<Vec<KeyedPair>>> = vec![None; deps.len()];
-    for_each_dep_done(ctx, cos, &deps, poll, batch, |i, d| {
-        // lint: allow(L009) — for_each_dep_done yields i < deps.len() == slots.len()
-        slots[i] = Some(fetch_shuffle_run(cloud, cos, d, index, reducers, exchange)?);
-        Ok(())
+    // Gather each map's partition as soon as its status lands; runs come
+    // back in dep order, so the grouped output is bitwise-identical to a
+    // barrier-then-gather pass.
+    let runs = gather_deps(ctx, cos, &deps, poll, batch, |landed| match exchange {
+        // Relay reads are datacenter-cheap: stay one at a time.
+        ExchangeMode::Relay => landed
+            .iter()
+            .map(|d| fetch_relay_run(cloud, cos, d, index, reducers))
+            .collect(),
+        ExchangeMode::Cos => gather_landed(
+            cos,
+            landed,
+            |d, status| plan_shuffle_read(d, &status, index, reducers),
+            |d, read| match read {
+                Ok(raw) => keyed_pairs_of_raw(&raw),
+                Err(PywrenError::Storage(StoreError::NoSuchKey { .. })) => Err(format!(
+                    "shuffle partition {index} of map task {} was written but is now \
+                     missing (lost)",
+                    d.label()
+                )),
+                Err(e) => Err(format!(
+                    "fetching shuffle partition {index} of map task {}: {e}",
+                    d.label()
+                )),
+            },
+        ),
     })?;
-
-    let mut runs: Vec<Vec<KeyedPair>> = Vec::with_capacity(slots.len());
-    for (i, slot) in slots.into_iter().enumerate() {
-        // An unfilled slot is an internal protocol bug; surface it as a
-        // typed task error (retry/speculation can heal it) instead of
-        // panicking the agent.
-        runs.push(slot.ok_or_else(|| {
-            format!(
-                "internal: shuffle dependency {i} of {} was never fetched",
-                deps.len()
-            )
-        })?);
-    }
 
     let merged: Vec<KeyedPair> = match plane {
         // Partitioned runs arrive sorted: k-way merge under the bounded
@@ -817,54 +862,59 @@ fn build_shuffle_reduce_input(
         .with("groups", Value::Map(groups)))
 }
 
-/// Fetches reducer `index`'s partition run from one finished map task,
-/// using the map's status manifest (authoritative over the reducer's own
-/// decoded plane) to tell elided-empty partitions apart from lost data.
-fn fetch_shuffle_run(
+/// Reads reducer `index`'s partition run from the relay tier.
+fn fetch_relay_run(
     cloud: &SimCloud,
     cos: &CosClient,
     d: &ResponseFuture,
     index: usize,
     reducers: usize,
-    exchange: ExchangeMode,
 ) -> Result<Vec<KeyedPair>, String> {
-    let prefix = d.task_prefix();
-    let channel = shuffle_key(&prefix, index, reducers);
-
-    if exchange == ExchangeMode::Relay {
-        // Happy path: zero COS operations — maps publish every channel, so
-        // the relay read alone settles it. Only a miss (map failed, or data
-        // gone) costs one status GET to diagnose which.
-        return match cloud.relay().get(&channel) {
-            Ok(stamped) => {
-                let raw = wire::verify_stamped(&stamped).map_err(|e| {
-                    format!("integrity failure reading relay channel {channel}: {e}")
-                })?;
-                keyed_pairs_of_raw(raw)
-            }
-            Err(_) => {
-                let status = fetch_dep_status(cos, d)?;
-                Err(match map_error_of(&status) {
-                    Some(msg) => format!("map task {} failed: {msg}", d.label()),
-                    None => format!(
-                        "shuffle data of map task {} lost from the relay tier",
-                        d.label()
-                    ),
-                })
-            }
-        };
+    let channel = shuffle_key(&d.task_prefix(), index, reducers);
+    // Happy path: zero COS operations — maps publish every channel, so the
+    // relay read alone settles it. Only a miss (map failed, or data gone)
+    // costs one status GET to diagnose which.
+    match cloud.relay().get(&channel) {
+        Ok(stamped) => {
+            let raw = wire::verify_stamped(&stamped)
+                .map_err(|e| format!("integrity failure reading relay channel {channel}: {e}"))?;
+            keyed_pairs_of_raw(raw)
+        }
+        Err(_) => {
+            let status = fetch_dep_status(cos, d)?;
+            Err(match map_error_of(&status) {
+                Some(msg) => format!("map task {} failed: {msg}", d.label()),
+                None => format!(
+                    "shuffle data of map task {} lost from the relay tier",
+                    d.label()
+                ),
+            })
+        }
     }
+}
 
-    let status = fetch_dep_status(cos, d)?;
-    if let Some(msg) = map_error_of(&status) {
+/// Works out from one finished map's status manifest (authoritative over
+/// the reducer's own decoded plane) where reducer `index`'s run lives:
+/// nowhere (an elided-empty partition), inline in the manifest, or in a
+/// staged object — telling elided-empty partitions apart from lost data.
+fn plan_shuffle_read(
+    d: &ResponseFuture,
+    status: &Value,
+    index: usize,
+    reducers: usize,
+) -> Result<Then<Vec<KeyedPair>>, String> {
+    if let Some(msg) = map_error_of(status) {
         return Err(format!("map task {} failed: {msg}", d.label()));
     }
+    let prefix = d.task_prefix();
+    let channel = || Then::Read {
+        key: shuffle_key(&prefix, index, reducers),
+        range: None,
+    };
     let Some(manifest) = status.get("shuf") else {
         // Pre-manifest map payload: every partition was written, fetch it
         // directly (the legacy protocol).
-        let raw = get_verified(cos, d.bucket(), &channel)
-            .map_err(|e| format!("fetching shuffle partition: {e}"))?;
-        return keyed_pairs_of_raw(&raw);
+        return Ok(channel());
     };
     match manifest.req_str("k")? {
         "whole" => {
@@ -872,40 +922,31 @@ fn fetch_shuffle_run(
                 .get("w")
                 .and_then(Value::as_bytes)
                 .ok_or("whole-object manifest missing its bitmap")?;
-            if !bitmap_get(bits, index) {
-                // Declared absent: this map produced nothing for us.
-                return Ok(Vec::new());
-            }
-            match get_verified(cos, d.bucket(), &channel) {
-                Ok(raw) => keyed_pairs_of_raw(&raw),
-                Err(PywrenError::Storage(rustwren_store::StoreError::NoSuchKey { .. })) => {
-                    Err(format!(
-                        "shuffle partition {index} of map task {} was written but is now \
-                         missing (lost)",
-                        d.label()
-                    ))
-                }
-                Err(e) => Err(format!("fetching shuffle partition: {e}")),
-            }
+            // Declared absent: this map produced nothing for us.
+            Ok(if bitmap_get(bits, index) {
+                channel()
+            } else {
+                Then::Ready(Vec::new())
+            })
         }
         "seg" => {
             let parts = manifest.req_list("parts")?;
             let entry = parts
                 .get(index)
                 .ok_or_else(|| format!("manifest has no entry for partition {index}"))?;
-            match entry {
-                Value::Null => Ok(Vec::new()),
-                e => {
-                    if let Some(inline) = e.get("d") {
-                        return keyed_pairs_of(inline);
-                    }
-                    let off = e.req_i64("o")?.max(0) as u64;
-                    let len = e.req_i64("l")?.max(0) as u64;
-                    let raw = get_slice_verified(cos, d.bucket(), &segment_key(&prefix), off, len)
-                        .map_err(|e| format!("map task {}: {e}", d.label()))?;
-                    keyed_pairs_of_raw(&raw)
-                }
+            if entry.is_null() {
+                return Ok(Then::Ready(Vec::new()));
             }
+            if let Some(inline) = entry.get("d") {
+                return keyed_pairs_of(inline).map(Then::Ready);
+            }
+            // Slices carry their own stamps (the segment is PUT raw).
+            let off = entry.req_i64("o")?.max(0) as u64;
+            let len = entry.req_i64("l")?.max(0) as u64;
+            Ok(Then::Read {
+                key: segment_key(&prefix),
+                range: Some((off, off + len)),
+            })
         }
         "relay" => Err(format!(
             "map task {} exchanged its partitions via the relay tier, but this reducer \
@@ -916,40 +957,71 @@ fn fetch_shuffle_run(
     }
 }
 
-/// Range-reads one stamped slice out of a shuffle segment object and
-/// verifies its checksum (re-fetching a couple of times on a bad read, like
-/// [`get_stamped_raw`]). A missing segment is a typed loss error — the
-/// manifest said the slice exists.
-fn get_slice_verified(
+/// What a landed dependency still needs once its status has been read:
+/// nothing more, or one stamped COS read (a whole object, or a range of
+/// one) whose payload becomes its value.
+enum Then<T> {
+    Ready(T),
+    Read {
+        key: String,
+        range: Option<(u64, u64)>,
+    },
+}
+
+/// Fetches one poll tick's landed dependencies over the SDK's concurrent
+/// lanes: their status objects in one batch, `plan` turns each status into
+/// a value or a further read, those reads go out in a second batch, and
+/// `finish` decodes each read (or its typed failure). Returns one result
+/// per landed dependency, in order.
+fn gather_landed<T>(
     cos: &CosClient,
-    bucket: &str,
-    key: &str,
-    off: u64,
-    len: u64,
-) -> Result<Bytes, String> {
-    let mut last = None;
-    for _ in 0..3 {
-        let raw = match cos.get_range(bucket, key, off, off + len) {
-            Ok(raw) => raw,
-            Err(e @ rustwren_store::StoreError::NoSuchKey { .. }) => {
-                return Err(format!(
-                    "shuffle segment {bucket}/{key} was written but is now missing (lost): {e}"
-                ));
-            }
-            Err(e) => return Err(format!("fetching shuffle slice: {e}")),
-        };
-        match wire::verify_stamped(&raw) {
-            Ok(_) => return Ok(raw.slice(wire::STAMP_LEN..)),
-            Err(e) => {
-                last = Some(format!(
-                    "integrity failure reading shuffle slice {bucket}/{key}@{off}: {e}"
-                ));
-            }
-        }
-    }
-    Err(last.unwrap_or_else(|| {
-        format!("shuffle slice {bucket}/{key}@{off}: no read attempts were made")
-    }))
+    landed: &[&ResponseFuture],
+    plan: impl Fn(&ResponseFuture, Value) -> Result<Then<T>, String>,
+    finish: impl Fn(&ResponseFuture, crate::error::Result<Bytes>) -> Result<T, String>,
+) -> Vec<Result<T, String>> {
+    let status_keys: Vec<String> = landed.iter().map(|d| d.status_key()).collect();
+    let status_reqs: Vec<GetReq<'_>> = landed
+        .iter()
+        .zip(&status_keys)
+        .map(|(d, key)| GetReq::whole(d.bucket(), key))
+        .collect();
+    let planned: Vec<Result<Then<T>, String>> = landed
+        .iter()
+        .zip(get_many_stamped(cos, &status_reqs))
+        .map(|(d, raw)| {
+            let raw = raw.map_err(|e| format!("fetching dep status: {e}"))?;
+            let status = Value::decode(&raw.slice(wire::STAMP_LEN..))
+                .map_err(|e| format!("decoding dep status: {e}"))?;
+            plan(d, status)
+        })
+        .collect();
+    let data_reqs: Vec<GetReq<'_>> = landed
+        .iter()
+        .zip(&planned)
+        .filter_map(|(d, p)| match p {
+            Ok(Then::Read { key, range }) => Some(GetReq {
+                bucket: d.bucket(),
+                key,
+                range: *range,
+            }),
+            _ => None,
+        })
+        .collect();
+    let mut reads = get_many_stamped(cos, &data_reqs).into_iter();
+    landed
+        .iter()
+        .zip(planned)
+        .map(|(d, p)| match p? {
+            Then::Ready(v) => Ok(v),
+            Then::Read { key, .. } => finish(
+                d,
+                reads
+                    .next()
+                    .unwrap_or_else(|| Err(unread(d.bucket(), &key)))
+                    .map(|raw| raw.slice(wire::STAMP_LEN..)),
+            ),
+        })
+        .collect()
 }
 
 /// Fetches and decodes one dependency's status object.
@@ -1040,39 +1112,30 @@ fn build_input_base(
 
             // Gather map results in *completion order* as each status
             // lands, instead of waiting for the full barrier and then
-            // downloading everything at once. Results are slotted by dep
-            // index, so the reduce function still sees them in submission
+            // downloading everything at once. Results come back in dep
+            // order, so the reduce function still sees them in submission
             // order — only the download timing changes.
-            let mut slots: Vec<Option<Value>> = vec![None; deps.len()];
-            for_each_dep_done(ctx, cos, &deps, poll, batch, |i, d| {
-                let status_raw = get_verified(cos, d.bucket(), &d.status_key())
-                    .map_err(|e| format!("fetching dep status: {e}"))?;
-                let status =
-                    Value::decode(&status_raw).map_err(|e| format!("decoding dep status: {e}"))?;
-                if status.req_str("state")? != "done" {
-                    let msg = status
-                        .get("error")
-                        .and_then(Value::as_str)
-                        .unwrap_or("unknown error");
-                    return Err(format!("map task {} failed: {msg}", d.label()));
-                }
-                // lint: allow(L009) — i is a dep index, slots is deps-sized
-                slots[i] = Some(match status.get("result") {
-                    // The map's result rode inside its status object.
-                    Some(r) => r.clone(),
-                    None => {
-                        let result_raw = get_verified(cos, d.bucket(), &d.result_key())
-                            .map_err(|e| format!("fetching dep result: {e}"))?;
-                        Value::decode(&result_raw).map_err(|e| format!("decoding dep: {e}"))?
-                    }
-                });
-                Ok(())
+            let results = gather_deps(ctx, cos, &deps, poll, batch, |landed| {
+                gather_landed(
+                    cos,
+                    landed,
+                    |d, status| match map_error_of(&status) {
+                        Some(msg) => Err(format!("map task {} failed: {msg}", d.label())),
+                        // The map's result may have ridden inside its status.
+                        None => Ok(match status.get("result") {
+                            Some(r) => Then::Ready(r.clone()),
+                            None => Then::Read {
+                                key: d.result_key(),
+                                range: None,
+                            },
+                        }),
+                    },
+                    |_, read| {
+                        let raw = read.map_err(|e| format!("fetching dep result: {e}"))?;
+                        Value::decode(&raw).map_err(|e| format!("decoding dep: {e}"))
+                    },
+                )
             })?;
-            let results: Vec<Value> = slots
-                .into_iter()
-                .enumerate()
-                .map(|(i, s)| s.ok_or_else(|| format!("dependency slot {i} was never fetched")))
-                .collect::<Result<_, _>>()?;
             Ok(Value::map()
                 .with("group", group)
                 .with("results", Value::List(results)))
@@ -1084,24 +1147,27 @@ fn build_input_base(
 /// "The reduce function will wait for all the partial results before
 /// processing them" (§4.3) — implemented as a single batched watch: one
 /// LIST per distinct job prefix per poll tick covers every dependency
-/// (instead of O(deps) per-key probes), and `fetch(i, dep)` runs for each
-/// dependency *as its status lands*, so downloads overlap the stragglers
-/// still running rather than queueing behind a full barrier.
+/// (instead of O(deps) per-key probes), and `fetch` runs on each tick's
+/// newly landed dependencies *as their statuses land*, so downloads overlap
+/// the stragglers still running rather than queueing behind a full barrier.
 ///
 /// With `batch` off, each poll tick probes every still-pending status key
 /// individually — the original data path, kept for ablation and for
-/// payloads from older clients. Either way results are slotted by
-/// dependency index, so the assembled input is bitwise-identical.
-fn for_each_dep_done<F>(
+/// payloads from older clients. Either way `fetch` sees each tick's landed
+/// dependencies in dependency order and returns one result per dependency;
+/// the values come back slotted by dependency index (so the assembled input
+/// is bitwise-identical), and the first error in dependency order ends the
+/// gather.
+fn gather_deps<T, F>(
     ctx: &ActivationCtx,
     cos: &CosClient,
     deps: &[ResponseFuture],
     poll: Duration,
     batch: bool,
     mut fetch: F,
-) -> Result<(), String>
+) -> Result<Vec<T>, String>
 where
-    F: FnMut(usize, &ResponseFuture) -> Result<(), String>,
+    F: FnMut(&[&ResponseFuture]) -> Vec<Result<T, String>>,
 {
     // Precompute the wanted status keys so each poll is a set intersection.
     let mut prefixes: Vec<(&str, String)> = Vec::new();
@@ -1114,48 +1180,41 @@ where
         }
         wanted.insert(d.status_key(), i);
     }
-    let mut fetched = vec![false; deps.len()];
+    let mut slots: Vec<Option<T>> = deps.iter().map(|_| None).collect();
     let mut done = 0usize;
     loop {
+        let mut landed: Vec<usize> = Vec::new();
         if batch {
             for (bucket, prefix) in &prefixes {
                 let listed = cos
                     .list(bucket, prefix)
                     .map_err(|e| format!("listing statuses: {e}"))?;
-                for meta in listed {
-                    let Some(&i) = wanted.get(&meta.key) else {
-                        continue;
-                    };
-                    // lint: allow(L009) — wanted maps status keys to dep
-                    // indexes; fetched/deps are deps-sized
-                    if !fetched[i] {
-                        // lint: allow(L009) — same deps-sized index
-                        fetched[i] = true;
-                        // lint: allow(L009) — same deps-sized index
-                        fetch(i, &deps[i])?;
-                        done += 1;
-                    }
-                }
+                landed.extend(listed.iter().filter_map(|meta| wanted.remove(&meta.key)));
             }
         } else {
-            for (i, d) in deps.iter().enumerate() {
-                // lint: allow(L009) — enumerate index over deps-sized vec
-                if fetched[i] {
+            for (i, (d, slot)) in deps.iter().zip(&slots).enumerate() {
+                if slot.is_some() {
                     continue;
                 }
                 // One existence probe per pending dependency per tick —
                 // a transient error reads as "not there yet" and is
                 // retried next tick.
                 if cos.get(d.bucket(), &d.status_key()).is_ok() {
-                    // lint: allow(L009) — enumerate index over deps-sized vec
-                    fetched[i] = true;
-                    fetch(i, d)?;
-                    done += 1;
+                    landed.push(i);
                 }
             }
         }
+        landed.sort_unstable();
+        let landed_deps: Vec<&ResponseFuture> =
+            landed.iter().filter_map(|&i| deps.get(i)).collect();
+        for (&i, fetched) in landed.iter().zip(fetch(&landed_deps)) {
+            if let Some(slot) = slots.get_mut(i) {
+                *slot = Some(fetched?);
+            }
+        }
+        done += landed.len();
         if done >= deps.len() {
-            return Ok(());
+            break;
         }
         if ctx.remaining() < poll {
             return Err(format!(
@@ -1166,6 +1225,11 @@ where
         }
         rustwren_sim::sleep(poll);
     }
+    slots
+        .into_iter()
+        .enumerate()
+        .map(|(i, s)| s.ok_or_else(|| format!("dependency slot {i} was never fetched")))
+        .collect()
 }
 
 fn panic_text(p: &Box<dyn std::any::Any + Send>) -> String {

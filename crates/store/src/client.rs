@@ -14,8 +14,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use bytes::Bytes;
+use rustwren_sim::chaos::ChaosEngine;
 use rustwren_sim::hash::{hash2, StrHasher};
-use rustwren_sim::NetworkProfile;
+use rustwren_sim::{NetworkProfile, SimInstant};
 
 use crate::error::StoreError;
 use crate::object::{BucketMeta, ObjectMeta};
@@ -84,6 +85,144 @@ impl fmt::Display for CosOp<'_> {
             OpSuffix::Const(s) => f.write_str(s),
             OpSuffix::Range(start, end) => write!(f, "[{start}..{end}]"),
             OpSuffix::Part(lane, i) => write!(f, " part {lane}.{i}"),
+        }
+    }
+}
+
+/// Requests one client keeps in flight at a time — the COS SDKs' default
+/// transfer concurrency. Bounds the parts of a
+/// [`put_multipart`](CosClient::put_multipart) and the lanes of a
+/// [`get_many`](CosClient::get_many).
+pub const SDK_LANES: usize = 16;
+
+/// The retry state of one charged request: issue an attempt, wait out its
+/// cost, judge it at its completion instant, back off, reissue.
+/// [`step`](Charge::step) never sleeps — it tells the driver how long to
+/// wait before stepping again — so the serial ops (which sleep in place)
+/// and [`CosClient::get_many`] (which sleeps until the earliest of its
+/// lanes) apply exactly the same rules.
+struct Charge<'a> {
+    op: CosOp<'a>,
+    bucket: &'a str,
+    key: &'a str,
+    payload: u64,
+    service: Duration,
+    chaos: Option<Arc<ChaosEngine>>,
+    /// The display form, materialized only when a chaos engine's fault
+    /// log could show it.
+    op_str: Option<String>,
+    path: u64,
+    attempt: u32,
+    /// The in-flight attempt's token; `None` between attempts.
+    in_flight: Option<u64>,
+}
+
+/// What a [`Charge`] needs next.
+enum Step {
+    /// Step again after this much virtual time.
+    Wait(Duration),
+    /// The request finished: the successful attempt's token, or the
+    /// terminal network error.
+    Done(Result<u64, StoreError>),
+}
+
+impl<'a> Charge<'a> {
+    fn new(
+        op: CosOp<'a>,
+        bucket: &'a str,
+        key: &'a str,
+        payload: u64,
+        service: Duration,
+    ) -> Charge<'a> {
+        let chaos = rustwren_sim::chaos::current();
+        // The display form is only observable through an installed chaos
+        // engine's fault log or the terminal network error; the common
+        // path hashes the parts without materializing the string.
+        let op_str = chaos.as_ref().map(|_| op.to_string());
+        Charge {
+            op,
+            bucket,
+            key,
+            payload,
+            service,
+            chaos,
+            op_str,
+            path: op.path_hash(),
+            attempt: 0,
+            in_flight: None,
+        }
+    }
+
+    fn step(&mut self, client: &CosClient) -> Step {
+        let Some(token) = self.in_flight.take() else {
+            self.attempt += 1;
+            // Stateless token: (seed, path, issue instant). Attempts are
+            // separated by non-zero service/backoff waits, so each retry
+            // draws fresh; no shared counter means OS thread interleaving
+            // can never leak into the timing or fault stream.
+            let token = hash2(
+                client.seed,
+                hash2(self.path, rustwren_sim::now().as_nanos()),
+            );
+            self.in_flight = Some(token);
+            return Step::Wait(client.net.request_cost(self.payload, token) + self.service);
+        };
+        // Judged at the completion instant: an outage window that opens
+        // while the attempt is in flight fails it.
+        let injected = match (self.chaos.as_deref(), self.op_str.as_deref()) {
+            (Some(c), Some(s)) => c.cos_attempt_fails(s, self.bucket, self.key, token),
+            _ => false,
+        };
+        if !injected && !client.net.fails(token) {
+            return Step::Done(Ok(token));
+        }
+        if self.attempt >= client.max_attempts {
+            return Step::Done(Err(StoreError::Network {
+                op: self.op_str.take().unwrap_or_else(|| self.op.to_string()),
+                attempts: self.attempt,
+            }));
+        }
+        // Exponential backoff, as in the COS SDKs.
+        Step::Wait(Duration::from_millis(50) * 2u32.pow(self.attempt - 1))
+    }
+}
+
+/// One read in a [`CosClient::get_many`] batch: a whole object, or the
+/// byte range `[start, end)` of one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct GetReq<'a> {
+    /// The bucket to read from.
+    pub bucket: &'a str,
+    /// The object key.
+    pub key: &'a str,
+    /// `Some((start, end))` for a range GET.
+    pub range: Option<(u64, u64)>,
+}
+
+impl<'a> GetReq<'a> {
+    /// A whole-object GET.
+    pub fn whole(bucket: &'a str, key: &'a str) -> GetReq<'a> {
+        GetReq {
+            bucket,
+            key,
+            range: None,
+        }
+    }
+
+    /// A GET of the byte range `[start, end)`.
+    pub fn range(bucket: &'a str, key: &'a str, start: u64, end: u64) -> GetReq<'a> {
+        GetReq {
+            bucket,
+            key,
+            range: Some((start, end)),
+        }
+    }
+
+    fn op(&self) -> CosOp<'a> {
+        let op = CosOp::new("GET", self.bucket, Some(self.key));
+        match self.range {
+            Some((start, end)) => op.with_suffix(OpSuffix::Range(start, end)),
+            None => op,
         }
     }
 }
@@ -315,12 +454,12 @@ impl CosClient {
     }
 
     /// Charges one operation against the network and any installed chaos
-    /// engine; `op` is the request identity whose display form appears in
-    /// errors and fault logs, while `bucket`/`key` let scoped faults
-    /// (outages, brownouts) match the request. Returns the token of the
-    /// successful attempt so callers can derive further deterministic
-    /// draws (e.g. GET corruption) without consuming extra sequence
-    /// numbers.
+    /// engine, sleeping through every attempt and backoff in place; `op`
+    /// is the request identity whose display form appears in errors and
+    /// fault logs, while `bucket`/`key` let scoped faults (outages,
+    /// brownouts) match the request. Returns the token of the successful
+    /// attempt so callers can derive further deterministic draws (e.g.
+    /// GET corruption) without consuming extra sequence numbers.
     fn charge(
         &self,
         op: CosOp<'_>,
@@ -329,37 +468,12 @@ impl CosClient {
         payload: u64,
         service: Duration,
     ) -> Result<u64, StoreError> {
-        let chaos = rustwren_sim::chaos::current();
-        // The display form is only observable through an installed chaos
-        // engine's fault log or the terminal network error; the common
-        // path hashes the parts without materializing the string.
-        let op_str = chaos.as_ref().map(|_| op.to_string());
-        let path = op.path_hash();
-        let mut attempt = 0;
+        let mut charge = Charge::new(op, bucket, key, payload, service);
         loop {
-            attempt += 1;
-            // Stateless token: (seed, path, issue instant). Attempts are
-            // separated by non-zero service/backoff sleeps, so each retry
-            // draws fresh; no shared counter means OS thread interleaving
-            // can never leak into the timing or fault stream.
-            let token = hash2(self.seed, hash2(path, rustwren_sim::now().as_nanos()));
-            let cost = self.net.request_cost(payload, token) + service;
-            rustwren_sim::sleep(cost);
-            let injected = match (chaos.as_deref(), op_str.as_deref()) {
-                (Some(c), Some(s)) => c.cos_attempt_fails(s, bucket, key, token),
-                _ => false,
-            };
-            if !injected && !self.net.fails(token) {
-                return Ok(token);
+            match charge.step(self) {
+                Step::Wait(d) => rustwren_sim::sleep(d),
+                Step::Done(result) => return result,
             }
-            if attempt >= self.max_attempts {
-                return Err(StoreError::Network {
-                    op: op_str.unwrap_or_else(|| op.to_string()),
-                    attempts: attempt,
-                });
-            }
-            // Exponential backoff, as in the COS SDKs.
-            rustwren_sim::sleep(Duration::from_millis(50) * 2u32.pow(attempt - 1));
         }
     }
 
@@ -403,7 +517,8 @@ impl CosClient {
     /// completion round trip — how the real COS SDKs move large payloads.
     /// Falls back to a plain [`put`](CosClient::put) for small objects.
     ///
-    /// At most 16 parts are in flight at a time, like the SDK defaults.
+    /// At most [`SDK_LANES`] parts are in flight at a time, like the SDK
+    /// defaults.
     ///
     /// # Errors
     ///
@@ -425,7 +540,7 @@ impl CosClient {
             return self.put(bucket, key, data);
         }
         let part_count = data.len().div_ceil(part_size);
-        let threads = part_count.min(16);
+        let threads = part_count.min(SDK_LANES);
         let mut lanes: Vec<Vec<(usize, usize)>> = vec![Vec::new(); threads];
         for i in 0..part_count {
             let start = i * part_size;
@@ -486,20 +601,7 @@ impl CosClient {
     /// Store errors from the service, or [`StoreError::Network`] after
     /// exhausting retries.
     pub fn get(&self, bucket: &str, key: &str) -> Result<Bytes, StoreError> {
-        // HEAD-sized request out, payload back: charge on payload size.
-        let data = self.store.get(bucket, key)?;
-        self.counters.count(&self.counters.gets);
-        self.counters
-            .bytes_in
-            .fetch_add(data.len() as u64, Ordering::Relaxed);
-        let token = self.charge(
-            CosOp::new("GET", bucket, Some(key)),
-            bucket,
-            key,
-            data.len() as u64,
-            self.costs.data_op,
-        )?;
-        Ok(self.maybe_corrupt(bucket, key, token, data))
+        self.get_one(GetReq::whole(bucket, key))
     }
 
     /// `GET` a byte range `[start, end)` of an object.
@@ -515,19 +617,134 @@ impl CosClient {
         start: u64,
         end: u64,
     ) -> Result<Bytes, StoreError> {
-        let data = self.store.get_range(bucket, key, start, end)?;
+        self.get_one(GetReq::range(bucket, key, start, end))
+    }
+
+    fn get_one(&self, req: GetReq<'_>) -> Result<Bytes, StoreError> {
+        // HEAD-sized request out, payload back: charge on payload size.
+        let data = self.read(&req)?;
+        let token = self.charge(
+            req.op(),
+            req.bucket,
+            req.key,
+            data.len() as u64,
+            self.costs.data_op,
+        )?;
+        Ok(self.maybe_corrupt(req.bucket, req.key, token, data))
+    }
+
+    /// The store read a GET makes when it is issued, tallied once per
+    /// request that gets as far as the network.
+    fn read(&self, req: &GetReq<'_>) -> Result<Bytes, StoreError> {
+        let data = match req.range {
+            Some((start, end)) => self.store.get_range(req.bucket, req.key, start, end)?,
+            None => self.store.get(req.bucket, req.key)?,
+        };
         self.counters.count(&self.counters.gets);
         self.counters
             .bytes_in
             .fetch_add(data.len() as u64, Ordering::Relaxed);
-        let token = self.charge(
-            CosOp::new("GET", bucket, Some(key)).with_suffix(OpSuffix::Range(start, end)),
-            bucket,
-            key,
-            data.len() as u64,
-            self.costs.data_op,
-        )?;
-        Ok(self.maybe_corrupt(bucket, key, token, data))
+        Ok(data)
+    }
+
+    /// Issues a batch of GETs over `lanes` concurrent connections from the
+    /// calling simulated thread, without spawning any: each lane issues
+    /// the next queued request as soon as its previous one finishes, and
+    /// the caller sleeps until the earliest lane event. Results come back
+    /// in request order, one per request.
+    ///
+    /// Every request follows exactly the rules of a serial
+    /// [`get`](CosClient::get): the store is read when the request is
+    /// issued (a missing key fails that entry at once and costs no time),
+    /// each attempt's token comes from the path and its issue instant,
+    /// chaos faults and network loss are judged at the attempt's
+    /// completion instant, failed attempts back off and retry, and the
+    /// counters tally one GET per request that reached the network. With
+    /// one lane the batch is indistinguishable from serial GETs; with `K`
+    /// lanes `n` fault-free requests take about `ceil(n/K)` round trips.
+    /// A `lanes` of zero is treated as one.
+    pub fn get_many(&self, reqs: &[GetReq<'_>], lanes: usize) -> Vec<Result<Bytes, StoreError>> {
+        struct Flight<'r> {
+            req: usize,
+            data: Bytes,
+            charge: Charge<'r>,
+            due: SimInstant,
+        }
+        let mut out: Vec<Option<Result<Bytes, StoreError>>> = reqs.iter().map(|_| None).collect();
+        let mut queue = reqs.iter().enumerate();
+        let mut flights: Vec<Option<Flight<'_>>> = (0..lanes.clamp(1, reqs.len().max(1)))
+            .map(|_| None)
+            .collect();
+        loop {
+            let now = rustwren_sim::now();
+            // Idle lanes issue the next queued requests, in lane order.
+            for lane in flights.iter_mut().filter(|l| l.is_none()) {
+                for (i, req) in queue.by_ref() {
+                    let data = match self.read(req) {
+                        Ok(data) => data,
+                        Err(e) => {
+                            if let Some(slot) = out.get_mut(i) {
+                                *slot = Some(Err(e));
+                            }
+                            continue;
+                        }
+                    };
+                    let mut charge = Charge::new(
+                        req.op(),
+                        req.bucket,
+                        req.key,
+                        data.len() as u64,
+                        self.costs.data_op,
+                    );
+                    // A fresh charge always issues its first attempt.
+                    if let Step::Wait(cost) = charge.step(self) {
+                        *lane = Some(Flight {
+                            req: i,
+                            data,
+                            charge,
+                            due: now + cost,
+                        });
+                        break;
+                    }
+                }
+            }
+            // The earliest lane event; ties go to the lowest lane.
+            let Some((due, l)) = flights
+                .iter()
+                .enumerate()
+                .filter_map(|(l, f)| f.as_ref().map(|f| (f.due, l)))
+                .min()
+            else {
+                break;
+            };
+            if due > now {
+                rustwren_sim::sleep(due.duration_since(now));
+            }
+            let Some(slot) = flights.get_mut(l) else {
+                break;
+            };
+            let Some(flight) = slot.as_mut() else {
+                break;
+            };
+            match flight.charge.step(self) {
+                Step::Wait(d) => flight.due = rustwren_sim::now() + d,
+                Step::Done(result) => {
+                    let Some(f) = slot.take() else {
+                        break;
+                    };
+                    let result = result.map(|token| {
+                        self.maybe_corrupt(f.charge.bucket, f.charge.key, token, f.data)
+                    });
+                    if let Some(slot) = out.get_mut(f.req) {
+                        *slot = Some(result);
+                    }
+                }
+            }
+        }
+        out.into_iter()
+            .zip(reqs)
+            .map(|(r, req)| r.unwrap_or_else(|| Err(never_issued(req))))
+            .collect()
     }
 
     /// `HEAD` an object.
@@ -619,6 +836,16 @@ impl CosClient {
             self.costs.head_op,
         )?;
         Ok(self.store.exists(bucket, key))
+    }
+}
+
+/// The result of a batch entry that never reached the network. Unreachable
+/// by construction (every request is issued once), but typed rather than a
+/// panic on the agent hot path.
+fn never_issued(req: &GetReq<'_>) -> StoreError {
+    StoreError::Network {
+        op: req.op().to_string(),
+        attempts: 0,
     }
 }
 
@@ -947,6 +1174,174 @@ mod tests {
             }
         });
         assert_eq!(flaky.counters().snapshot().puts, 50);
+    }
+
+    /// Stores `n` distinct objects of varying size under `k{i}`.
+    fn fill(client: &CosClient, n: usize) {
+        for i in 0..n {
+            client
+                .store()
+                .put(
+                    "b",
+                    &format!("k{i}"),
+                    Bytes::from(vec![i as u8; 100 + 37 * i]),
+                )
+                .unwrap();
+        }
+    }
+
+    #[test]
+    fn get_many_with_one_lane_replays_serial_gets_bit_for_bit() {
+        use rustwren_sim::chaos::{ChaosEngine, CorruptMode, FaultPlan, PathScope, TimeWindow};
+
+        // Lossy WAN plus a brownout and read corruption: retries, backoffs,
+        // injected faults and corruption draws all depend on each
+        // attempt's token, so equal bodies, clocks and fault logs mean
+        // equal tokens. A missing key and a range read ride along.
+        let keys: Vec<String> = (0..12)
+            .map(|i| {
+                if i == 5 {
+                    "missing".into()
+                } else {
+                    format!("k{i}")
+                }
+            })
+            .collect();
+        let run = |batched: bool| {
+            let (kernel, client) = setup(NetworkProfile::wan().with_failure_rate(0.2));
+            fill(&client, 12);
+            let chaos = Arc::new(ChaosEngine::new(
+                FaultPlan::new(5)
+                    .cos_brownout(
+                        PathScope::any(),
+                        TimeWindow::between(Duration::from_millis(300), Duration::from_secs(2)),
+                        0.5,
+                    )
+                    .corrupt_get(
+                        PathScope::any(),
+                        TimeWindow::always(),
+                        CorruptMode::FlipByte,
+                        0.3,
+                    ),
+            ));
+            kernel.install_chaos(Arc::clone(&chaos));
+            let mut reqs: Vec<GetReq<'_>> = keys.iter().map(|k| GetReq::whole("b", k)).collect();
+            reqs.push(GetReq::range("b", "k3", 10, 90));
+            let results = kernel.run("client", || {
+                if batched {
+                    client.get_many(&reqs, 1)
+                } else {
+                    reqs.iter()
+                        .map(|r| match r.range {
+                            Some((start, end)) => client.get_range(r.bucket, r.key, start, end),
+                            None => client.get(r.bucket, r.key),
+                        })
+                        .collect()
+                }
+            });
+            (
+                results,
+                kernel.now(),
+                client.counters().snapshot(),
+                chaos.fault_log(),
+            )
+        };
+        let serial = run(false);
+        let batched = run(true);
+        assert!(serial.0.iter().any(Result::is_err), "some entries failed");
+        assert!(!serial.3.is_empty(), "the chaos plan fired");
+        assert_eq!(batched, serial);
+    }
+
+    #[test]
+    fn get_many_makespan_obeys_the_lane_bounds() {
+        let n = 37;
+        let keys: Vec<String> = (0..n).map(|i| format!("k{i}")).collect();
+        let reqs: Vec<GetReq<'_>> = keys.iter().map(|k| GetReq::whole("b", k)).collect();
+        let makespan = |net: NetworkProfile, lanes: Option<usize>| {
+            let (kernel, client) = setup(net);
+            fill(&client, n);
+            let got = kernel.run("client", || match lanes {
+                Some(k) => client.get_many(&reqs, k),
+                None => reqs.iter().map(|r| client.get(r.bucket, r.key)).collect(),
+            });
+            assert!(got.iter().all(Result::is_ok));
+            assert_eq!(client.counters().snapshot().gets, n as u64);
+            kernel.now().duration_since(SimInstant::ZERO)
+        };
+        let data_op = CosCosts::default().data_op;
+        let datacenter = NetworkProfile::datacenter().with_failure_rate(0.0);
+        let serial = makespan(datacenter.clone(), None);
+        for k in [1, 2, 3, 16, 64] {
+            let floor = data_op * n.div_ceil(k) as u32;
+            // Service time alone is the whole cost on an instant network.
+            assert_eq!(makespan(NetworkProfile::instant(), Some(k)), floor, "k={k}");
+            let got = makespan(datacenter.clone(), Some(k));
+            assert!(got >= floor, "k={k}: {got:?} below the {floor:?} floor");
+            assert!(got <= serial, "k={k}: {got:?} above the serial {serial:?}");
+        }
+        assert_eq!(makespan(datacenter, Some(1)), serial);
+    }
+
+    #[test]
+    fn get_many_missing_key_fails_only_its_entry() {
+        let (kernel, client) = setup(NetworkProfile::lan().with_failure_rate(0.0));
+        fill(&client, 2);
+        let got = kernel.run("client", || {
+            client.get_many(
+                &[
+                    GetReq::whole("b", "k0"),
+                    GetReq::whole("b", "nope"),
+                    GetReq::range("b", "k1", 0, 10),
+                ],
+                16,
+            )
+        });
+        assert_eq!(got[0].as_deref(), Ok(&[0u8; 100][..]));
+        assert_eq!(
+            got[1],
+            Err(StoreError::NoSuchKey {
+                bucket: "b".into(),
+                key: "nope".into()
+            })
+        );
+        assert_eq!(got[2].as_deref(), Ok(&[1u8; 10][..]));
+        // The failed lookup never reached the network.
+        assert_eq!(client.counters().snapshot().gets, 2);
+    }
+
+    #[test]
+    fn brownout_opening_mid_batch_fails_only_attempts_completing_inside_it() {
+        use rustwren_sim::chaos::{ChaosEngine, FaultPlan, PathScope, TimeWindow};
+
+        // Instant network: 12 requests over 4 lanes complete in rounds at
+        // 9, 18 and 27 ms. The window opens at 20 ms, while the third
+        // round is in flight, so exactly that round fails.
+        let (kernel, client) = setup(NetworkProfile::instant());
+        let client = client.with_max_attempts(1);
+        fill(&client, 12);
+        kernel.install_chaos(Arc::new(ChaosEngine::new(FaultPlan::new(3).cos_brownout(
+            PathScope::any(),
+            TimeWindow::starting_at(Duration::from_millis(20)),
+            1.0,
+        ))));
+        let keys: Vec<String> = (0..12).map(|i| format!("k{i}")).collect();
+        let reqs: Vec<GetReq<'_>> = keys.iter().map(|k| GetReq::whole("b", k)).collect();
+        let got = kernel.run("client", || client.get_many(&reqs, 4));
+        for (i, r) in got.iter().enumerate() {
+            if i < 8 {
+                assert!(r.is_ok(), "request {i} completed before the window: {r:?}");
+            } else {
+                assert_eq!(
+                    r,
+                    &Err(StoreError::Network {
+                        op: format!("GET b/k{i}"),
+                        attempts: 1
+                    }),
+                    "request {i} completed inside the window"
+                );
+            }
+        }
     }
 
     #[test]

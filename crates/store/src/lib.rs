@@ -46,7 +46,7 @@ mod object;
 mod relay;
 mod store;
 
-pub use client::{CosClient, CosCosts, OpCounters, OpCounts};
+pub use client::{CosClient, CosCosts, GetReq, OpCounters, OpCounts, SDK_LANES};
 pub use error::StoreError;
 pub use object::{BucketMeta, ObjectMeta};
 pub use relay::{RelayOpCounts, RelayTier};

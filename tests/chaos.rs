@@ -581,6 +581,48 @@ fn integrity_faults_are_counted_and_healed() {
 }
 
 #[test]
+fn corrupted_status_read_in_a_batched_gather_heals_by_refetch() {
+    // One map's status object reads corrupted exactly once. Only the
+    // reducer reads map statuses, and it reads all of them in one batch
+    // over concurrent lanes: the bad entry must be re-fetched inside the
+    // agent (no task retry is allowed) and the reduce output must match a
+    // fault-free run.
+    let seed = 64;
+    let expected = fault_free(seed, JobKind::MapReduce);
+    let cloud = chaos_cloud(seed, None);
+    register_pure_fns(&cloud);
+    let (results, stats) = cloud.run(|| {
+        let exec = cloud.executor().build().unwrap();
+        // The map stage is the executor's first job, numbered from 1.
+        let status = format!("jobs/{}/1/t00003/status", exec.exec_id());
+        cloud
+            .kernel()
+            .install_chaos(Arc::new(rustwren::sim::chaos::ChaosEngine::new(
+                FaultPlan::new(seed)
+                    .corrupt_get(
+                        PathScope::prefix(status),
+                        TimeWindow::always(),
+                        CorruptMode::FlipByte,
+                        1.0,
+                    )
+                    .once(),
+            )));
+        exec.map_reduce(
+            "square",
+            DataSource::Values((0..TASKS).map(Value::from).collect()),
+            "sum",
+            MapReduceOpts::default(),
+        )
+        .unwrap();
+        let results = exec.get_result().expect("the corrupted read healed");
+        (results, exec.recovery_stats())
+    });
+    assert_eq!(results, expected, "healed run matches the baseline");
+    assert_eq!(cloud.chaos_stats().corruptions, 1, "the fault fired once");
+    assert_eq!(stats.retries + stats.integrity_retries, 0, "{stats:?}");
+}
+
+#[test]
 fn total_corruption_surfaces_typed_integrity_error_not_garbage() {
     let plan = FaultPlan::new(62).corrupt_get(
         PathScope::prefix("jobs/"),
