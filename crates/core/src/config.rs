@@ -109,11 +109,6 @@ pub struct RetryPolicy {
     /// failing stops retrying once the budget is spent instead of grinding
     /// against a sick platform forever. `None` (default) = unbounded.
     pub job_retry_budget: Option<u32>,
-    /// Honor server `retry_after` hints as a circuit breaker: when the
-    /// platform answers 429 with a deadline, retries scheduled before that
-    /// deadline are pushed past it (analyzer W007's dynamic counterpart).
-    /// On by default.
-    pub honor_retry_after: bool,
 }
 
 impl RetryPolicy {
@@ -128,7 +123,6 @@ impl RetryPolicy {
             retry_timeouts: false,
             presumed_dead_after: None,
             job_retry_budget: None,
-            honor_retry_after: true,
         }
     }
 
@@ -144,12 +138,6 @@ impl RetryPolicy {
     /// Caps automatic re-invocations across the whole job.
     pub fn with_job_budget(mut self, budget: u32) -> RetryPolicy {
         self.job_retry_budget = Some(budget);
-        self
-    }
-
-    /// Disables the `retry_after` circuit breaker (blind backoff only).
-    pub fn without_retry_hint(mut self) -> RetryPolicy {
-        self.honor_retry_after = false;
         self
     }
 
@@ -366,7 +354,6 @@ mod tests {
             retry_timeouts: false,
             presumed_dead_after: None,
             job_retry_budget: None,
-            honor_retry_after: true,
         };
         assert_eq!(p.base_backoff(1), Duration::from_millis(100));
         assert_eq!(p.base_backoff(2), Duration::from_millis(200));

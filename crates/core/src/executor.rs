@@ -357,12 +357,9 @@ impl ExecutorBuilder {
         // operation budgets stay attributable (CosOpStats).
         let cos_stage = cos.clone().with_counters(OpCounters::shared());
         let throttle_signal = ThrottleSignal::new();
-        let mut faas = FaasClient::new(self.cloud.functions(), net, hash2(seed, 0xFA))
+        let faas = FaasClient::new(self.cloud.functions(), net, hash2(seed, 0xFA))
             .with_throttle_signal(Arc::clone(&throttle_signal))
             .with_namespace(TenantId::new(&self.namespace));
-        if !self.config.retry.honor_retry_after {
-            faas = faas.without_retry_hint();
-        }
         let agent_action = agent_action_name(&self.config.runtime);
         Ok(Executor {
             inner: Arc::new(ExecInner {
@@ -1425,9 +1422,6 @@ impl Executor {
         now: SimInstant,
     ) -> SimInstant {
         let at = now + self.backoff_delay(retry, key, attempts);
-        if !retry.honor_retry_after {
-            return at;
-        }
         match self.inner.throttle_signal.open_until(now) {
             Some(open) => at.max(open),
             None => at,

@@ -21,6 +21,10 @@ use crate::error::InvokeError;
 use crate::platform::CloudFunctions;
 use crate::tenant::TenantId;
 
+/// How many 429-throttled attempts each invocation tolerates before giving
+/// up (see [`FaasClient::invoke`]).
+const MAX_THROTTLE_ATTEMPTS: u32 = 200;
+
 /// Shared observer of throttle pressure across a fleet of clients — the
 /// circuit-breaker half of the `retry_after` protocol. Every 429 any
 /// wired-up client receives is counted, and the server's `retry_after`
@@ -82,7 +86,6 @@ pub struct FaasClient {
     seed: u64,
     namespace: TenantId,
     max_attempts: u32,
-    max_throttle_attempts: u32,
     honor_retry_after: bool,
     signal: Option<Arc<ThrottleSignal>>,
 }
@@ -105,7 +108,6 @@ impl FaasClient {
             seed,
             namespace: TenantId::default_namespace(),
             max_attempts: 5,
-            max_throttle_attempts: 200,
             honor_retry_after: true,
             signal: None,
         }
@@ -142,18 +144,6 @@ impl FaasClient {
     pub fn with_max_attempts(mut self, attempts: u32) -> FaasClient {
         assert!(attempts > 0, "max_attempts must be at least 1");
         self.max_attempts = attempts;
-        self
-    }
-
-    /// Sets how many 429-throttled attempts each invocation tolerates
-    /// before giving up.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `attempts` is zero.
-    pub fn with_max_throttle_attempts(mut self, attempts: u32) -> FaasClient {
-        assert!(attempts > 0, "max_throttle_attempts must be at least 1");
-        self.max_throttle_attempts = attempts;
         self
     }
 
@@ -219,7 +209,7 @@ impl FaasClient {
                     if let Some(s) = &self.signal {
                         s.record_throttle(rustwren_sim::now() + retry_after);
                     }
-                    if throttle_attempts >= self.max_throttle_attempts {
+                    if throttle_attempts >= MAX_THROTTLE_ATTEMPTS {
                         return Err(InvokeError::Throttled { limit, retry_after });
                     }
                     let backoff = if self.honor_retry_after {

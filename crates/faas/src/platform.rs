@@ -25,7 +25,7 @@ use std::time::Duration;
 use bytes::Bytes;
 use parking_lot::Mutex;
 use rustwren_sim::hash::{hash2, unit_f64};
-use rustwren_sim::sync::{Event, Semaphore};
+use rustwren_sim::sync::Event;
 use rustwren_sim::{Kernel, LightStep, NetworkProfile, ResourceId, SimInstant};
 use rustwren_store::{CosClient, ObjectStore, OpCounters, OpCounts};
 
@@ -79,14 +79,6 @@ pub struct PlatformConfig {
     /// Price per GB-second of function execution (IBM Cloud Functions
     /// charged $0.000017/GB-s at the time of the paper).
     pub price_per_gb_second: f64,
-    /// When `true`, invocations over [`PlatformConfig::concurrency_limit`]
-    /// *queue* on a namespace admission semaphore instead of being rejected
-    /// with a 429 (the per-minute rate limit still applies). This models a
-    /// platform without client-side retry — and is what turns a nested
-    /// over-fan-out into a *real* deadlock the kernel's wait-for graph can
-    /// report, rather than a throttle storm. Default `false` (the paper's
-    /// OpenWhisk behaviour).
-    pub queue_on_concurrency_limit: bool,
     /// Default container keep-alive/prewarm policy; `None` behaves as
     /// [`KeepAlivePolicy::FixedTtl`] with
     /// [`container_idle_timeout`](PlatformConfig::container_idle_timeout).
@@ -95,13 +87,10 @@ pub struct PlatformConfig {
     /// Tenant set for multi-tenant serving. Empty (the default) keeps the
     /// platform single-tenant: every invocation lands in the
     /// [`DEFAULT_NAMESPACE`] under the global limits only. Validated at
-    /// build time ([`CloudFunctions::try_new`]).
+    /// build time ([`CloudFunctions::try_new`]). A namespace that should
+    /// queue at its limit instead of answering 429 is a tenant with an
+    /// unbounded queue: `TenantConfig::new(ns, limit).queue_depth(usize::MAX)`.
     pub tenants: Vec<TenantConfig>,
-    /// Deterministic `retry_after` hint attached to *concurrency* 429s
-    /// (rate-limit 429s hint the exact window remainder instead). A drain
-    /// estimate: how long a rejected caller should wait before a slot has
-    /// plausibly freed.
-    pub retry_after_hint: Duration,
 }
 
 impl Default for PlatformConfig {
@@ -122,10 +111,8 @@ impl Default for PlatformConfig {
             internal_net: NetworkProfile::datacenter(),
             seed: 0xF00D,
             price_per_gb_second: 0.000_017,
-            queue_on_concurrency_limit: false,
             keep_alive: None,
             tenants: Vec::new(),
-            retry_after_hint: Duration::from_secs(5),
         }
     }
 }
@@ -209,6 +196,11 @@ enum PrewarmPhase {
 /// held. Light tasks run on a borrowed stack and must never park, so lock
 /// contention is handled by rescheduling the poll instead of blocking.
 const PREWARM_LOCK_RETRY: Duration = Duration::from_micros(100);
+
+/// Deterministic `retry_after` hint attached to *concurrency* 429s
+/// (rate-limit 429s hint the exact window remainder instead): how long a
+/// rejected caller should wait before a slot has plausibly freed.
+const CONCURRENCY_RETRY_AFTER: Duration = Duration::from_secs(5);
 
 /// Outcome of the admission half of a prewarm (see
 /// [`CloudFunctions::prewarm_admit`]).
@@ -433,9 +425,6 @@ struct Inner {
     // on the hasher.
     records: Mutex<BTreeMap<ActivationId, ActivationRecord>>,
     completions: Mutex<HashMap<ActivationId, Event>>,
-    /// Namespace admission semaphore, present only in
-    /// [`PlatformConfig::queue_on_concurrency_limit`] mode.
-    concurrency_sem: Option<Semaphore>,
     /// Wait-for-graph resource standing for the cluster's container
     /// capacity; activations hold it while they own a container, and
     /// capacity waiters block on it.
@@ -551,9 +540,6 @@ impl CloudFunctions {
                 }),
                 records: Mutex::new(BTreeMap::new()),
                 completions: Mutex::new(HashMap::new()),
-                concurrency_sem: config.queue_on_concurrency_limit.then(|| {
-                    Semaphore::named(kernel, config.concurrency_limit, "namespace-concurrency")
-                }),
                 capacity_res: kernel.create_resource("capacity", "cluster-containers"),
                 admission_res: kernel.create_resource("admission", "tenant-admission"),
                 agent_ops: OpCounters::shared(),
@@ -761,15 +747,11 @@ impl CloudFunctions {
                 }
             } else {
                 // Single-tenant plane: the paper's global limits.
-                // In queue mode the admission semaphore bounds concurrency
-                // instead: over-limit activations park rather than bounce.
-                if self.inner.concurrency_sem.is_none()
-                    && pool.inflight >= self.inner.config.concurrency_limit
-                {
+                if !global_inflight_ok {
                     pool.stats.throttled += 1;
                     return Err(InvokeError::Throttled {
                         limit: self.inner.config.concurrency_limit,
-                        retry_after: self.inner.config.retry_after_hint,
+                        retry_after: CONCURRENCY_RETRY_AFTER,
                     });
                 }
                 pool.inflight += 1;
@@ -1105,12 +1087,6 @@ impl CloudFunctions {
             // invocations blocked on admission point here in wait-for
             // graphs until the slot is released at completion.
             self.inner.kernel.hold_resource(self.inner.admission_res);
-        } else if let Some(sem) = &self.inner.concurrency_sem {
-            // lint: allow(L011) — false positive: this is the workspace's
-            // only in-scope semaphore acquisition, so the semaphore→semaphore
-            // order can only mean run_activation re-entering itself — an
-            // artifact of name-based call resolution; activations never nest
-            sem.acquire_raw();
         }
         let (container, cold, pull_bytes) =
             self.acquire_container(namespace, action_name, &registered);
@@ -1194,11 +1170,6 @@ impl CloudFunctions {
         }
         if tenanted {
             self.inner.kernel.release_resource(self.inner.admission_res);
-        }
-        // Release admission before firing completion, so a parent woken by
-        // the completion finds the concurrency slot already free.
-        if let Some(sem) = &self.inner.concurrency_sem {
-            sem.release_raw();
         }
         completion.fire();
     }
@@ -2074,9 +2045,10 @@ mod tests {
 
     #[test]
     fn queue_mode_parks_instead_of_throttling() {
+        // Queue mode is a default-namespace tenant with an unbounded queue.
         let cfg = PlatformConfig {
             concurrency_limit: 2,
-            queue_on_concurrency_limit: true,
+            tenants: vec![TenantConfig::new(DEFAULT_NAMESPACE, 2).queue_depth(usize::MAX)],
             ..PlatformConfig::default()
         };
         let (kernel, faas) = setup(cfg);
@@ -2106,6 +2078,7 @@ mod tests {
         });
         assert_eq!(faas.stats().throttled, 0);
         assert_eq!(faas.stats().completed, 6);
+        assert_eq!(faas.stats().queued, 4, "all but the first batch queued");
     }
 
     #[test]
@@ -2115,7 +2088,7 @@ mod tests {
         // wait-for graph must spell out.
         let cfg = PlatformConfig {
             concurrency_limit: 1,
-            queue_on_concurrency_limit: true,
+            tenants: vec![TenantConfig::new(DEFAULT_NAMESPACE, 1).queue_depth(usize::MAX)],
             ..PlatformConfig::default()
         };
         let (kernel, faas) = setup(cfg);
@@ -2152,8 +2125,8 @@ mod tests {
         assert!(msg.contains("simulation deadlock"), "missing header: {msg}");
         assert!(msg.contains("wait-for cycle:"), "missing cycle: {msg}");
         assert!(
-            msg.contains("semaphore `namespace-concurrency`"),
-            "missing admission semaphore: {msg}"
+            msg.contains("admission `tenant-admission`"),
+            "missing admission resource: {msg}"
         );
         assert!(
             msg.contains("act-"),

@@ -1,6 +1,7 @@
-//! Admission-plane integration tests: FIFO ordering within a tenant,
-//! weighted fair dispatch without starvation, and bitwise-deterministic
-//! replay of a two-tenant burst.
+//! Admission-plane integration tests: FIFO ordering within a tenant, one
+//! global limit shared by tenanted and untenanted namespaces, weighted fair
+//! dispatch without starvation, and bitwise-deterministic replay of a
+//! two-tenant burst.
 
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -99,6 +100,57 @@ fn full_admission_queue_sheds_with_depth() {
         }
     });
     assert_eq!(faas.tenant_stats("acme").unwrap().shed, 1);
+}
+
+#[test]
+fn tenanted_and_untenanted_namespaces_share_the_global_limit() {
+    // Global limit 2, filled by one `acme` (tenanted) and one `other`
+    // (untenanted) activation. Over the limit, `other` bounces with the
+    // paper's 429 while `acme` queues; the first completion — `other`'s,
+    // the shorter one — frees the shared slot for the queued `acme` call.
+    let cfg = PlatformConfig {
+        concurrency_limit: 2,
+        tenants: vec![TenantConfig::new("acme", 2).queue_depth(8)],
+        ..PlatformConfig::default()
+    };
+    let (kernel, faas) = setup(cfg);
+    faas.register_action("short", ActionConfig::default(), charge_action(10))
+        .unwrap();
+    faas.register_action("long", ActionConfig::default(), charge_action(100))
+        .unwrap();
+    kernel.run("client", || {
+        let long = faas.invoke_in("acme", "long", Bytes::new()).unwrap();
+        let short = faas.invoke_in("other", "short", Bytes::new()).unwrap();
+        assert_eq!(faas.inflight(), 2);
+        assert_eq!(
+            faas.invoke_in("other", "short", Bytes::new()),
+            Err(InvokeError::Throttled {
+                limit: 2,
+                retry_after: Duration::from_secs(5),
+            })
+        );
+        let queued = faas.invoke_in("acme", "short", Bytes::new()).unwrap();
+        assert_eq!(faas.tenant_stats("acme").unwrap().queued, 1);
+        assert_eq!(faas.inflight(), 2, "the queued call holds no slot yet");
+
+        let first = faas.wait(short);
+        let admitted = faas.wait(queued);
+        let last = faas.wait(long);
+        assert!(first.is_success() && admitted.is_success() && last.is_success());
+        let (first_end, started) = (first.ended.unwrap(), admitted.started.unwrap());
+        assert!(
+            started > first_end && started < last.ended.unwrap(),
+            "queued call started at {started:?}: not admitted by the first \
+             completion at {first_end:?}"
+        );
+    });
+    let acme = faas.tenant_stats("acme").unwrap();
+    assert_eq!((acme.submitted, acme.queued, acme.completed), (2, 1, 2));
+    assert!(
+        faas.tenant_stats("other").is_none(),
+        "`other` stays untenanted"
+    );
+    assert_eq!(faas.stats().throttled, 1);
 }
 
 proptest! {

@@ -47,9 +47,9 @@
 //! ```text
 //! simulation deadlock at t=1.234s: all 3 registered thread(s) are blocked and no timer is pending
 //!   - thread `act-1` blocked on event.wait (event `act-2`, held by `act-2`)
-//!   - thread `act-2` blocked on semaphore.acquire (semaphore `namespace-concurrency`, held by `act-1`)
+//!   - thread `act-2` blocked on event.wait (admission `tenant-admission`, held by `act-1`)
 //!   - thread `client` blocked on event.wait (event `act-1`, held by `act-1`)
-//! wait-for cycle: `act-1` -[event `act-2`]-> `act-2` -[semaphore `namespace-concurrency`]-> `act-1`
+//! wait-for cycle: `act-1` -[event `act-2`]-> `act-2` -[admission `tenant-admission`]-> `act-1`
 //! ```
 //!
 //! Every blocked thread is woken into the panic (not just the thread that
@@ -250,7 +250,7 @@ pub struct ResourceId(u64);
 struct ResourceInfo {
     /// Resource kind, e.g. `"semaphore"` or `"event"`.
     kind: &'static str,
-    /// Human-readable instance label, e.g. `"namespace-concurrency"`.
+    /// Human-readable instance label, e.g. `"cluster-containers"`.
     label: String,
     /// Whether the label was generated (`kind#N`). Generated labels vary
     /// across schedules, so the lock-order recorder must not use them as

@@ -73,7 +73,7 @@ impl Semaphore {
     }
 
     /// Creates a semaphore whose deadlock diagnostics carry `label`
-    /// (e.g. `"namespace-concurrency"`).
+    /// (e.g. `"worker-slots"`).
     pub fn named(kernel: &Kernel, permits: usize, label: impl Into<String>) -> Semaphore {
         Semaphore {
             inner: Arc::new(SemInner {

@@ -1,14 +1,17 @@
 //! Acceptance tests for the pre-flight job-plan analyzer: the same doomed
 //! nested plan is (a) rejected by `AnalyzeMode::Deny` before any function
-//! is invoked, and (b) — with analysis off and the platform queueing
-//! instead of throttling — wedges the simulation in a deadlock whose panic
-//! report names the actual wait-for cycle.
+//! is invoked, and (b) — with analysis off and the default namespace
+//! queueing in tenant admission instead of throttling — wedges the
+//! simulation in a deadlock whose panic report names the actual wait-for
+//! cycle.
 
 use std::panic::{self, AssertUnwindSafe};
 
 use bytes::Bytes;
 use rustwren::core::{AnalyzeMode, PlanHints, PywrenError, Rule, Severity, SimCloud};
-use rustwren::faas::{ActionConfig, ActivationCtx, CloudFunctions, PlatformConfig};
+use rustwren::faas::{
+    ActionConfig, ActivationCtx, CloudFunctions, PlatformConfig, TenantConfig, DEFAULT_NAMESPACE,
+};
 use rustwren::sim::Kernel;
 use rustwren::store::ObjectStore;
 use rustwren::workloads::mergesort;
@@ -145,8 +148,9 @@ fn tenant_quota_overflow_warns_but_never_blocks() {
 #[test]
 fn unanalyzed_overcommit_deadlocks_with_wait_for_cycle() {
     // The other half of the acceptance criterion: run the same
-    // parent-blocks-on-child shape with no analyzer in the way, on a
-    // platform that queues on the concurrency limit instead of throttling.
+    // parent-blocks-on-child shape with no analyzer in the way, with the
+    // default namespace a tenant whose unbounded admission queue parks
+    // over-limit invocations instead of throttling them.
     // The parent holds the only admission slot while waiting on a child
     // that queues behind it — the kernel must name that cycle.
     let kernel = Kernel::new();
@@ -156,7 +160,7 @@ fn unanalyzed_overcommit_deadlocks_with_wait_for_cycle() {
         &store,
         PlatformConfig {
             concurrency_limit: 1,
-            queue_on_concurrency_limit: true,
+            tenants: vec![TenantConfig::new(DEFAULT_NAMESPACE, 1).queue_depth(usize::MAX)],
             ..PlatformConfig::default()
         },
     );
@@ -194,7 +198,7 @@ fn unanalyzed_overcommit_deadlocks_with_wait_for_cycle() {
     assert!(msg.contains("simulation deadlock"), "header missing: {msg}");
     assert!(msg.contains("wait-for cycle:"), "cycle missing: {msg}");
     assert!(
-        msg.contains("semaphore `namespace-concurrency`"),
+        msg.contains("admission `tenant-admission`"),
         "blocking primitive missing: {msg}"
     );
     assert!(

@@ -7,6 +7,7 @@
 use rustwren::core::{
     DataSource, MapReduceOpts, RetryPolicy, SimCloud, SpeculationConfig, TaskCtx, Value,
 };
+use rustwren::faas::{PlatformConfig, TenantConfig, DEFAULT_NAMESPACE};
 use rustwren::sim::{Kernel, NetworkProfile};
 use rustwren::verify::{explore, Budget, Strategy};
 
@@ -262,22 +263,17 @@ fn light_tasks_are_schedule_independent_with_no_lost_wakeups() {
     );
 }
 
-/// Exports the dynamic lock-exercise inventory for rustwren-lint's L007
-/// cross-check (`target/verify/lock-exercise.txt`). A small budget is
-/// enough: L007 only asks whether each lock *kind* was ever exercised, not
-/// for schedule coverage. CI runs this before the lint job.
-/// Like [`map_job`], but with a tight namespace concurrency limit in
-/// queueing mode, so the platform's `namespace-concurrency` semaphore is
-/// constructed and contended — without this, semaphore sites would look
-/// unexercised to L007.
+/// Like [`map_job`], but the default namespace is a tenant with a tight
+/// quota and an unbounded queue, so invocations over the limit park in the
+/// tenant admission queue instead of bouncing with 429s.
 fn queued_map_job(kernel: Kernel) -> Vec<Value> {
     let cloud = SimCloud::builder()
         .seed(7)
         .client_network(NetworkProfile::lan())
-        .platform(rustwren::faas::PlatformConfig {
+        .platform(PlatformConfig {
             concurrency_limit: 2,
-            queue_on_concurrency_limit: true,
-            ..rustwren::faas::PlatformConfig::default()
+            tenants: vec![TenantConfig::new(DEFAULT_NAMESPACE, 2).queue_depth(usize::MAX)],
+            ..PlatformConfig::default()
         })
         .kernel(kernel)
         .build();
@@ -293,10 +289,21 @@ fn queued_map_job(kernel: Kernel) -> Vec<Value> {
             .unwrap();
         exec.map("add7", (0..6).map(Value::Int).collect::<Vec<_>>())
             .unwrap();
-        exec.get_result().unwrap()
+        let results = exec.get_result().unwrap();
+        let queued = cloud
+            .functions()
+            .tenant_stats(DEFAULT_NAMESPACE)
+            .expect("default namespace is a tenant")
+            .queued;
+        assert!(queued > 0, "the job must exercise the admission queue");
+        results
     })
 }
 
+/// Exports the dynamic lock-exercise inventory for rustwren-lint's L007
+/// cross-check (`target/verify/lock-exercise.txt`). A small budget is
+/// enough: L007 only asks whether each lock *kind* was ever exercised, not
+/// for schedule coverage. CI runs this before the lint job.
 #[test]
 fn lock_exercise_export() {
     let report = explore(
@@ -313,10 +320,9 @@ fn lock_exercise_export() {
     assert!(report.ok(), "{report}");
     let text = rustwren::verify::lock_exercise_text(&report);
     assert!(text.contains("runs 9"), "{text}");
-    // The executor/faas stack locks mutexes and waits on semaphores on
-    // every job; their kinds must appear or the export is useless to L007.
+    // The executor/faas stack locks mutexes on every job; their kind must
+    // appear or the export is useless to L007.
     assert!(text.contains("kind mutex "), "{text}");
-    assert!(text.contains("kind semaphore "), "{text}");
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("target")
         .join("verify")
