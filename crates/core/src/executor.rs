@@ -13,7 +13,7 @@ use rustwren_analyze::{
 use rustwren_faas::{ActivationId, FaasClient, Outcome, TenantId, ThrottleSignal};
 use rustwren_sim::hash::{hash2, unit_f64};
 use rustwren_sim::{NetworkProfile, SimInstant};
-use rustwren_store::{CosClient, OpCounters};
+use rustwren_store::{CosClient, GetReq, OpCounters};
 
 use crate::cloud::SimCloud;
 use crate::config::{
@@ -21,15 +21,16 @@ use crate::config::{
 };
 use crate::error::{PywrenError, Result};
 use crate::future::{ResponseFuture, WaitPolicy};
-use crate::invoker::{agent_action_name, deploy_agent, spawn_tasks};
+use crate::invoker::{agent_action_name, deploy_agent, round_robin_pool, spawn_tasks};
 use crate::job::{func_key, status_value, AgentPayload, TaskSpec};
 use crate::partition::{discover, partition_objects, DataSource};
 use crate::shuffle::{ExchangeMode, Partitioner, ShufflePlane, MAX_REDUCERS};
 use crate::stats::{CosOpStats, RecoveryStats};
 use crate::wire::Value;
 
-/// Client threads used to upload task inputs to COS before invocation.
-const UPLOAD_THREADS: usize = 64;
+/// Concurrent COS connections the client opens: for the task-input
+/// uploads before invocation and for each poll tick's result harvest.
+const CLIENT_CONNECTIONS: usize = 64;
 
 /// Consecutive status-poll failures tolerated (when retry is enabled)
 /// before `wait`/`get_result` give up — rides out bounded COS outage
@@ -109,6 +110,30 @@ impl fmt::Debug for GetResultOpts {
             .field("timeout", &self.timeout)
             .field("progress", &self.progress.is_some())
             .finish()
+    }
+}
+
+/// One future's harvest in [`Executor::resolve`]: empty until its value,
+/// or its failure, has been read.
+#[derive(Default)]
+struct Slot {
+    result: Option<Result<Value>>,
+    /// Storage failures ridden out so far (retry on only).
+    storage_failures: u32,
+}
+
+/// Decodes a landed status object: the task's error, its inline result,
+/// or `None` when the result was staged as a separate `…/result` object.
+fn landed_status(f: &ResponseFuture, raw: &[u8]) -> Result<Option<Value>> {
+    let status = Value::decode(raw)?;
+    match crate::job::map_error_of(&status) {
+        Some(message) => Err(PywrenError::Task {
+            task: f.label(),
+            message,
+        }),
+        // Small results ride inside the status object — no separate
+        // `…/result` GET (nor the object itself) exists for them.
+        None => Ok(status.get("result").cloned()),
     }
 }
 
@@ -849,17 +874,7 @@ impl Executor {
         let mut payloads: Vec<AgentPayload> = Vec::with_capacity(specs.len());
         let mut uploads: Vec<(String, Bytes)> = Vec::new();
         for (task, desc) in descs.into_iter().enumerate() {
-            let mut payload = AgentPayload {
-                bucket: bucket.clone(),
-                exec_id: exec_id.clone(),
-                job_id,
-                task: task as u32,
-                func_name: func.to_owned(),
-                inline: None,
-                cache: data_path.func_cache,
-                batch: data_path.batched_dep_watch,
-                inline_max: data_path.inline_input_max_bytes,
-            };
+            let mut payload = self.agent_payload(job_id, task as u32, func.to_owned(), None);
             if threshold > 0 && desc.encoded_len() <= threshold {
                 payload.inline = Some(desc);
             } else {
@@ -904,38 +919,34 @@ impl Executor {
     }
 
     fn parallel_upload(&self, uploads: Vec<(String, Bytes)>) -> Result<()> {
-        if uploads.is_empty() {
-            return Ok(());
-        }
-        let threads = UPLOAD_THREADS.min(uploads.len());
-        let mut chunks: Vec<Vec<(String, Bytes)>> = (0..threads).map(|_| Vec::new()).collect();
-        for (i, u) in uploads.into_iter().enumerate() {
-            chunks[i % threads].push(u);
-        }
+        let cos = self.inner.cos_stage.clone();
         let bucket = self.inner.config.storage_bucket.clone();
-        let handles: Vec<_> = chunks
-            .into_iter()
-            .enumerate()
-            .map(|(t, chunk)| {
-                let cos = self.inner.cos_stage.clone();
-                let bucket = bucket.clone();
-                rustwren_sim::spawn(format!("upload-{t}"), move || {
-                    for (key, data) in chunk {
-                        cos.put(&bucket, &key, data)?;
-                    }
-                    Ok::<(), rustwren_store::StoreError>(())
-                })
-            })
-            .collect();
-        let mut first_err = None;
-        for h in handles {
-            if let Err(e) = h.join() {
-                first_err.get_or_insert(e);
-            }
-        }
-        match first_err {
-            Some(e) => Err(e.into()),
-            None => Ok(()),
+        round_robin_pool("upload", CLIENT_CONNECTIONS, uploads, move |(key, data)| {
+            cos.put(&bucket, &key, data)
+        })?;
+        Ok(())
+    }
+
+    /// The payload of an agent invocation that runs task `task` of this
+    /// executor's job `job_id`, under the configured data path.
+    fn agent_payload(
+        &self,
+        job_id: u64,
+        task: u32,
+        func_name: String,
+        inline: Option<Value>,
+    ) -> AgentPayload {
+        let data_path = &self.inner.config.data_path;
+        AgentPayload {
+            bucket: self.inner.config.storage_bucket.clone(),
+            exec_id: self.inner.exec_id.clone(),
+            job_id,
+            task,
+            func_name,
+            inline,
+            cache: data_path.func_cache,
+            batch: data_path.batched_dep_watch,
+            inline_max: data_path.inline_input_max_bytes,
         }
     }
 
@@ -1111,7 +1122,7 @@ impl Executor {
                 if let Some(r) = recovery.get_mut(&key) {
                     r.exhausted = true;
                 }
-                // Left in `done`: fetch_result surfaces the final error.
+                // Left in `done`: the harvest surfaces the final error.
             }
         }
         Ok(())
@@ -1351,17 +1362,7 @@ impl Executor {
             };
             (r.func_name.clone(), r.inline.clone())
         };
-        let payload = AgentPayload {
-            bucket: f.bucket().to_owned(),
-            exec_id: f.exec_id().to_owned(),
-            job_id: f.job_id(),
-            task: f.task(),
-            func_name,
-            inline,
-            cache: self.inner.config.data_path.func_cache,
-            batch: self.inner.config.data_path.batched_dep_watch,
-            inline_max: self.inner.config.data_path.inline_input_max_bytes,
-        };
+        let payload = self.agent_payload(f.job_id(), f.task(), func_name, inline);
         let ids = spawn_tasks(
             &self.inner.faas,
             &self.inner.config.spawn,
@@ -1525,29 +1526,17 @@ impl Executor {
         let watched = self.with_guarded(&tracked);
         let mut poll_failures = 0u32;
         loop {
-            let polled = self.poll_done(&watched).and_then(|(mut done, prefixes)| {
-                self.recover(&watched, &mut done, prefixes).map(|()| done)
-            });
-            let done = match polled {
-                Ok(done) => {
-                    poll_failures = 0;
-                    done
+            if let Some((done, done_tracked)) =
+                self.poll_tick(&watched, &tracked, &mut poll_failures, None)?
+            {
+                let satisfied = match policy {
+                    WaitPolicy::Always => true,
+                    WaitPolicy::AnyCompleted => done_tracked > 0,
+                    WaitPolicy::AllCompleted => done_tracked == tracked.len(),
+                };
+                if satisfied {
+                    return Ok(tracked.into_iter().partition(|f| done.contains(f)));
                 }
-                Err(_) if self.tolerate_poll_failure(&mut poll_failures) => {
-                    rustwren_sim::sleep(self.inner.config.poll_interval);
-                    continue;
-                }
-                Err(e) => return Err(e),
-            };
-            let done_tracked = tracked.iter().filter(|f| done.contains(*f)).count();
-            let satisfied = match policy {
-                WaitPolicy::Always => true,
-                WaitPolicy::AnyCompleted => done_tracked > 0,
-                WaitPolicy::AllCompleted => done_tracked == tracked.len(),
-            };
-            if satisfied {
-                let (d, p) = tracked.into_iter().partition(|f| done.contains(f));
-                return Ok((d, p));
             }
             rustwren_sim::sleep(self.inner.config.poll_interval);
         }
@@ -1593,7 +1582,44 @@ impl Executor {
         watched
     }
 
+    /// One status-poll tick of [`wait`](Executor::wait) and
+    /// [`resolve`](Executor::resolve): LIST which `watched` futures landed,
+    /// run the recovery pass over that snapshot, and report how many of
+    /// `counted` are done to `progress`. Returns the landed set and that
+    /// count, or `None` after a storage failure the caller rides out.
+    fn poll_tick(
+        &self,
+        watched: &[ResponseFuture],
+        counted: &[ResponseFuture],
+        poll_failures: &mut u32,
+        progress: Option<&(dyn Fn(usize, usize) + Send + Sync)>,
+    ) -> Result<Option<(HashSet<ResponseFuture>, usize)>> {
+        let polled = self.poll_done(watched).and_then(|(mut done, prefixes)| {
+            self.recover(watched, &mut done, prefixes).map(|()| done)
+        });
+        let done = match polled {
+            Ok(done) => done,
+            Err(_) if self.tolerate_poll_failure(poll_failures) => return Ok(None),
+            Err(e) => return Err(e),
+        };
+        *poll_failures = 0;
+        let done_counted = counted.iter().filter(|f| done.contains(*f)).count();
+        if let Some(cb) = progress {
+            cb(done_counted, counted.len());
+        }
+        Ok(Some((done, done_counted)))
+    }
+
     /// Resolves an explicit set of futures (used by composition and tests).
+    ///
+    /// Results stream in while the job runs: each poll tick reads the
+    /// futures that newly landed (their statuses, then any results too
+    /// large to ride inline) in one batch over [`CLIENT_CONNECTIONS`]
+    /// lanes from the polling thread. That time counts against the poll
+    /// interval, so a tick where nothing landed keeps the plain polling
+    /// cadence. The future sets some results are (composition) are then
+    /// resolved in one nested call. The lowest-indexed failure is the error
+    /// returned; a sub-job's error surfaces only if no future itself failed.
     ///
     /// # Errors
     ///
@@ -1602,95 +1628,172 @@ impl Executor {
         if futures.is_empty() {
             return Ok(Vec::new());
         }
-        let deadline = opts.timeout.map(|t| self.inner.cloud.kernel().now() + t);
+        let deadline = opts.timeout.map(|t| rustwren_sim::now() + t);
         let watched = self.with_guarded(futures);
-        let mut poll_failures = 0u32;
+        let mut slots: Vec<Slot> = futures.iter().map(|_| Slot::default()).collect();
+        let (mut poll_failures, mut landed) = (0, 0);
+        let progress = opts.progress.as_deref();
+        let interval = self.inner.config.poll_interval;
         loop {
-            let polled = self.poll_done(&watched).and_then(|(mut done, prefixes)| {
-                self.recover(&watched, &mut done, prefixes).map(|()| done)
-            });
-            let done = match polled {
-                Ok(done) => {
-                    poll_failures = 0;
-                    done
-                }
-                Err(_) if self.tolerate_poll_failure(&mut poll_failures) => {
-                    rustwren_sim::sleep(self.inner.config.poll_interval);
-                    continue;
-                }
-                Err(e) => return Err(e),
-            };
-            let done_tracked = futures.iter().filter(|f| done.contains(*f)).count();
-            if let Some(cb) = &opts.progress {
-                cb(done_tracked, futures.len());
+            let tick = self.poll_tick(&watched, futures, &mut poll_failures, progress)?;
+            let harvest_start = rustwren_sim::now();
+            if let Some((done, done_tracked)) = tick {
+                landed = done_tracked;
+                self.harvest(futures, &done, &mut slots);
             }
-            if done_tracked == futures.len() {
+            if slots.iter().all(|s| s.result.is_some()) {
                 break;
             }
+            let now = rustwren_sim::now();
+            let mut idle = interval.saturating_sub(now - harvest_start);
             if let Some(d) = deadline {
-                if self.inner.cloud.kernel().now() >= d {
+                if now >= d {
                     return Err(PywrenError::Timeout {
-                        done: done_tracked,
-                        pending: futures.len() - done_tracked,
+                        done: landed,
+                        pending: futures.len() - landed,
                     });
                 }
+                idle = idle.min(d - now);
             }
-            rustwren_sim::sleep(self.inner.config.poll_interval);
+            rustwren_sim::sleep(idle);
         }
-
-        // Download results with a client thread pool, as the Python client
-        // does — serial WAN fetches would dwarf the job itself at scale.
-        let n = futures.len();
-        if n == 1 {
-            return Ok(vec![self.fetch_result(&futures[0], opts)?]);
-        }
-        let threads = n.min(UPLOAD_THREADS);
-        let mut chunks: Vec<Vec<(usize, ResponseFuture)>> =
-            (0..threads).map(|_| Vec::new()).collect();
-        for (i, f) in futures.iter().enumerate() {
-            chunks[i % threads].push((i, f.clone()));
-        }
-        let handles: Vec<_> = chunks
-            .into_iter()
-            .enumerate()
-            .map(|(t, chunk)| {
-                let exec = self.clone();
-                let opts = opts.clone();
-                rustwren_sim::spawn(format!("results-{t}"), move || {
-                    chunk
-                        .into_iter()
-                        .map(|(i, f)| exec.fetch_result(&f, &opts).map(|v| (i, v)))
-                        .collect::<Result<Vec<_>>>()
-                })
+        let harvested = futures
+            .iter()
+            .zip(slots)
+            .map(|(f, s)| {
+                let value = s
+                    .result
+                    .unwrap_or_else(|| Err(crate::job::unread(f.bucket(), &f.status_key())))?;
+                let set =
+                    ResponseFuture::set_from_value(&value).map_err(|m| PywrenError::Task {
+                        task: f.label(),
+                        message: format!("malformed future set: {m}"),
+                    })?;
+                Ok((value, set))
             })
+            .collect::<Result<Vec<_>>>()?;
+        let subfutures: Vec<ResponseFuture> = harvested
+            .iter()
+            .flat_map(|(_, set)| set.iter().flatten())
+            .cloned()
             .collect();
-        let mut slots: Vec<Option<Value>> = vec![None; n];
-        let mut first_err = None;
-        for h in handles {
-            match h.join() {
-                Ok(pairs) => {
-                    for (i, v) in pairs {
-                        slots[i] = Some(v);
+        let mut sub_values = self.resolve(&subfutures, opts)?.into_iter();
+        Ok(harvested
+            .into_iter()
+            .map(|(value, set)| match set {
+                None => value,
+                // A single-future set (e.g. one sequence stage) yields its
+                // bare value; fan-outs yield the list.
+                Some(subs) => {
+                    let values: Vec<Value> = sub_values.by_ref().take(subs.len()).collect();
+                    match <[Value; 1]>::try_from(values) {
+                        Ok([only]) => only,
+                        Err(values) => Value::List(values),
                     }
                 }
-                Err(e) => {
-                    first_err.get_or_insert(e);
-                }
+            })
+            .collect())
+    }
+
+    /// Reads one poll tick's newly landed futures into `slots`: their
+    /// statuses in one batch, then the `…/result` objects of the results
+    /// too large to ride inside their status in a second.
+    fn harvest(
+        &self,
+        futures: &[ResponseFuture],
+        done: &HashSet<ResponseFuture>,
+        slots: &mut [Slot],
+    ) {
+        let fresh = futures
+            .iter()
+            .zip(slots.iter_mut())
+            .filter(|(f, s)| s.result.is_none() && done.contains(*f))
+            .collect();
+        let mut staged = Vec::new();
+        for ((f, slot), read) in self.read_each(fresh, ResponseFuture::status_key) {
+            match read.and_then(|raw| landed_status(f, &raw)) {
+                Ok(None) => staged.push((f, slot)),
+                Ok(Some(value)) => self.settle(slot, Ok(value)),
+                Err(e) => self.settle(slot, Err(e)),
             }
         }
-        if let Some(e) = first_err {
-            return Err(e);
+        for ((_, slot), read) in self.read_each(staged, ResponseFuture::result_key) {
+            self.settle(slot, read.and_then(|raw| Ok(Value::decode(&raw)?)));
         }
-        slots
+    }
+
+    /// Reads `key` of every entry's future in one batch over
+    /// [`CLIENT_CONNECTIONS`] lanes, pairing each entry with its read. A
+    /// read that fails its checksum stamp is re-fetched up to
+    /// [`INTEGRITY_REFETCHES`] times (the stored object is intact; only the
+    /// read path corrupts): a healed entry counts one integrity retry, an
+    /// exhausted one surfaces the typed [`PywrenError::Integrity`] error
+    /// and counts one integrity failure.
+    fn read_each<'f, T>(
+        &self,
+        entries: Vec<(&'f ResponseFuture, T)>,
+        key: fn(&ResponseFuture) -> String,
+    ) -> Vec<((&'f ResponseFuture, T), Result<Bytes>)> {
+        let keys: Vec<String> = entries.iter().map(|(f, _)| key(f)).collect();
+        let mut reads: Vec<Option<Result<Bytes>>> = entries.iter().map(|_| None).collect();
+        let mut pending: Vec<usize> = (0..entries.len()).collect();
+        for refetch in 0..=INTEGRITY_REFETCHES {
+            let batch: Vec<GetReq<'_>> = pending
+                .iter()
+                .filter_map(|&i| Some(GetReq::whole(entries.get(i)?.0.bucket(), keys.get(i)?)))
+                .collect();
+            let batch_reads =
+                crate::job::get_many_verified(&self.inner.cos, &batch, CLIENT_CONNECTIONS);
+            let mut corrupted = Vec::new();
+            for (&i, read) in pending.iter().zip(batch_reads) {
+                let counter = match &read {
+                    Err(PywrenError::Integrity { .. }) if refetch < INTEGRITY_REFETCHES => {
+                        corrupted.push(i);
+                        continue;
+                    }
+                    Err(PywrenError::Integrity { .. }) => {
+                        Some(&self.inner.counters.integrity_failures)
+                    }
+                    Ok(_) if refetch > 0 => Some(&self.inner.counters.integrity_retries),
+                    _ => None,
+                };
+                if let Some(counter) = counter {
+                    counter.fetch_add(1, Ordering::Relaxed);
+                }
+                if let Some(slot) = reads.get_mut(i) {
+                    *slot = Some(read);
+                }
+            }
+            pending = corrupted;
+            if pending.is_empty() {
+                break;
+            }
+        }
+        entries
             .into_iter()
-            .enumerate()
-            .map(|(i, s)| {
-                s.ok_or_else(|| PywrenError::Task {
-                    task: format!("result #{i}"),
-                    message: "download pool returned no value for this index".to_owned(),
-                })
+            .zip(reads)
+            .zip(&keys)
+            .map(|((e, read), key)| {
+                let read = read.unwrap_or_else(|| Err(crate::job::unread(e.0.bucket(), key)));
+                (e, read)
             })
             .collect()
+    }
+
+    /// Files one harvested value, or its failure, into `slot`. With retry
+    /// on, a storage failure leaves the slot empty, so the next poll tick
+    /// reads the future again, up to [`INTEGRITY_REFETCHES`] times; the COS
+    /// client's own per-request retries have already been exhausted.
+    fn settle(&self, slot: &mut Slot, read: Result<Value>) {
+        match read {
+            Err(PywrenError::Storage(_))
+                if self.inner.config.retry.enabled()
+                    && slot.storage_failures < INTEGRITY_REFETCHES =>
+            {
+                slot.storage_failures += 1;
+            }
+            read => slot.result = Some(read),
+        }
     }
 
     /// Whether a storage failure during status polling should be ridden
@@ -1702,100 +1805,6 @@ impl Executor {
         }
         *poll_failures += 1;
         true
-    }
-
-    /// Reads a checksum-stamped staged object, re-fetching up to
-    /// [`INTEGRITY_REFETCHES`] times on stamp failures (the stored object is
-    /// intact; only the read path corrupts). Healed refetches count as
-    /// integrity retries; an exhausted budget surfaces the typed
-    /// [`PywrenError::Integrity`] error and counts as an integrity failure.
-    fn fetch_verified(&self, bucket: &str, key: &str) -> Result<Bytes> {
-        let mut integrity_attempts = 0u32;
-        let mut storage_attempts = 0u32;
-        loop {
-            match crate::job::get_verified(&self.inner.cos, bucket, key) {
-                Ok(payload) => {
-                    if integrity_attempts > 0 {
-                        self.inner
-                            .counters
-                            .integrity_retries
-                            .fetch_add(1, Ordering::Relaxed);
-                    }
-                    return Ok(payload);
-                }
-                Err(e @ PywrenError::Integrity { .. }) => {
-                    integrity_attempts += 1;
-                    if integrity_attempts > INTEGRITY_REFETCHES {
-                        self.inner
-                            .counters
-                            .integrity_failures
-                            .fetch_add(1, Ordering::Relaxed);
-                        return Err(e);
-                    }
-                }
-                // With retry on, ride out transient storage failures the
-                // same way the polling loop does — the COS client's own
-                // per-request retries have already been exhausted here.
-                Err(e @ PywrenError::Storage(_)) if self.inner.config.retry.enabled() => {
-                    storage_attempts += 1;
-                    if storage_attempts > INTEGRITY_REFETCHES {
-                        return Err(e);
-                    }
-                    rustwren_sim::sleep(self.inner.config.poll_interval);
-                }
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
-    /// Fetches one completed task's result, following future-set markers.
-    fn fetch_result(&self, f: &ResponseFuture, opts: &GetResultOpts) -> Result<Value> {
-        let status_raw = self.fetch_verified(f.bucket(), &f.status_key())?;
-        let status = Value::decode(&status_raw)?;
-        let state = status.req_str("state").map_err(|m| PywrenError::Task {
-            task: f.label(),
-            message: m,
-        })?;
-        if state != "done" {
-            return Err(PywrenError::Task {
-                task: f.label(),
-                message: status
-                    .get("error")
-                    .and_then(Value::as_str)
-                    .unwrap_or("unknown error")
-                    .to_owned(),
-            });
-        }
-        let value = match status.get("result") {
-            // Small results ride inside the status object — no separate
-            // `…/result` GET (nor the object itself) exists for them.
-            Some(v) => v.clone(),
-            None => {
-                let raw = self.fetch_verified(f.bucket(), &f.result_key())?;
-                Value::decode(&raw)?
-            }
-        };
-        match ResponseFuture::set_from_value(&value) {
-            Ok(Some(subfutures)) => {
-                // Composition-aware: transparently await the sub-job. A
-                // single-future set (e.g. one sequence stage) yields its
-                // bare value; fan-outs yield the list.
-                let mut sub = self.resolve(&subfutures, opts)?;
-                match sub.pop() {
-                    Some(only) if sub.is_empty() => Ok(only),
-                    Some(v) => {
-                        sub.push(v);
-                        Ok(Value::List(sub))
-                    }
-                    None => Ok(Value::List(sub)),
-                }
-            }
-            Ok(None) => Ok(value),
-            Err(m) => Err(PywrenError::Task {
-                task: f.label(),
-                message: format!("malformed future set: {m}"),
-            }),
-        }
     }
 
     /// Number of futures currently tracked for `get_result`.
@@ -1870,17 +1879,7 @@ impl Executor {
             // Clear stale completion markers so polling sees the rerun.
             self.inner.cos.delete(f.bucket(), &f.status_key())?;
             self.inner.cos.delete(f.bucket(), &f.result_key())?;
-            payloads.push(AgentPayload {
-                bucket: f.bucket().to_owned(),
-                exec_id: f.exec_id().to_owned(),
-                job_id: f.job_id(),
-                task: f.task(),
-                func_name,
-                inline,
-                cache: self.inner.config.data_path.func_cache,
-                batch: self.inner.config.data_path.batched_dep_watch,
-                inline_max: self.inner.config.data_path.inline_input_max_bytes,
-            });
+            payloads.push(self.agent_payload(f.job_id(), f.task(), func_name, inline));
         }
         let ids = spawn_tasks(
             &self.inner.faas,
@@ -1923,11 +1922,11 @@ impl Executor {
     /// Storage errors, or [`PywrenError::Task`] for statuses that are
     /// missing or malformed.
     pub fn task_timings(&self, futures: &[ResponseFuture]) -> Result<Vec<TaskTiming>> {
-        futures
-            .iter()
-            .map(|f| {
-                let raw = self.fetch_verified(f.bucket(), &f.status_key())?;
-                let status = Value::decode(&raw)?;
+        let entries = futures.iter().map(|f| (f, ())).collect();
+        self.read_each(entries, ResponseFuture::status_key)
+            .into_iter()
+            .map(|((f, ()), read)| {
+                let status = Value::decode(&read?)?;
                 let field = |k: &str| {
                     status
                         .get(k)

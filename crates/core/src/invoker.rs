@@ -186,42 +186,60 @@ pub(crate) fn spawn_tasks(
 }
 
 /// Invokes `action` once per payload over `threads` simulated client
-/// threads; fails fast on the first unrecoverable error. Returns the
-/// activation ids in payload order.
+/// threads. Returns the activation ids in payload order.
 fn parallel_invoke(
     faas: &rustwren_faas::FaasClient,
     action: &str,
     payloads: Vec<Bytes>,
     threads: usize,
 ) -> Result<Vec<Option<ActivationId>>> {
-    if payloads.is_empty() {
-        return Ok(Vec::new());
-    }
-    let n = payloads.len();
-    let threads = threads.min(n).max(1);
-    let indexed: Vec<(usize, Bytes)> = payloads.into_iter().enumerate().collect();
-    let handles: Vec<_> = chunk_round_robin(indexed, threads)
+    let client = faas.clone();
+    let action = action.to_owned();
+    let ids = round_robin_pool("spawn", threads, payloads, move |p| {
+        client.invoke(&action, p)
+    })?;
+    Ok(ids.into_iter().map(Some).collect())
+}
+
+/// Runs `op` on every item over up to `threads` simulated client threads
+/// named `{name}-{t}`, dealing the items round-robin. Each thread stops at
+/// its first failure. Once all have finished, returns the outputs in item
+/// order, or the failure of the lowest-numbered failing thread.
+pub(crate) fn round_robin_pool<T, R, E>(
+    name: &str,
+    threads: usize,
+    items: Vec<T>,
+    op: impl Fn(T) -> std::result::Result<R, E> + Clone + Send + 'static,
+) -> std::result::Result<Vec<R>, E>
+where
+    T: Send + 'static,
+    R: Send + 'static,
+    E: Send + 'static,
+{
+    let n = items.len();
+    let indexed: Vec<(usize, T)> = items.into_iter().enumerate().collect();
+    let handles: Vec<_> = chunk_round_robin(indexed, threads.clamp(1, n.max(1)))
         .into_iter()
         .enumerate()
         .map(|(t, chunk)| {
-            let client = faas.clone();
-            let action = action.to_owned();
-            rustwren_sim::spawn(format!("spawn-{t}"), move || {
+            let op = op.clone();
+            rustwren_sim::spawn(format!("{name}-{t}"), move || {
                 chunk
                     .into_iter()
-                    .map(|(i, p)| client.invoke(&action, p).map(|id| (i, id)))
-                    .collect::<std::result::Result<Vec<_>, rustwren_faas::InvokeError>>()
+                    .map(|(i, item)| op(item).map(|r| (i, r)))
+                    .collect::<std::result::Result<Vec<_>, E>>()
             })
         })
         .collect();
-    let mut ids: Vec<Option<ActivationId>> = vec![None; n];
+    let mut out: Vec<Option<R>> = (0..n).map(|_| None).collect();
     let mut first_err = None;
     for h in handles {
         match h.join() {
             Ok(pairs) => {
-                for (i, id) in pairs {
-                    // lint: allow(L009) — i indexes the preallocated ids vec
-                    ids[i] = Some(id);
+                for (i, r) in pairs {
+                    if let Some(slot) = out.get_mut(i) {
+                        *slot = Some(r);
+                    }
                 }
             }
             Err(e) => {
@@ -230,8 +248,8 @@ fn parallel_invoke(
         }
     }
     match first_err {
-        Some(e) => Err(e.into()),
-        None => Ok(ids),
+        Some(e) => Err(e),
+        None => Ok(out.into_iter().flatten().collect()),
     }
 }
 

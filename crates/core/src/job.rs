@@ -83,19 +83,23 @@ pub(crate) fn get_stamped_raw(
     bucket: &str,
     key: &str,
 ) -> crate::error::Result<Bytes> {
-    get_many_stamped(cos, &[GetReq::whole(bucket, key)])
+    get_many_stamped(cos, &[GetReq::whole(bucket, key)], SDK_LANES)
         .pop()
         .unwrap_or_else(|| Err(unread(bucket, key)))
 }
 
 /// Reads a batch of stamped objects (or stamped slices of objects) over
-/// the SDK's [`SDK_LANES`] concurrent connections and verifies each
-/// checksum, returning the whole stamped representation per request. A
-/// stamp failure means the *read* was corrupted — the stored object is
-/// intact — so the failed entries are re-fetched together, up to three
-/// reads each, before surfacing [`PywrenError::Integrity`]. A batch of one
-/// is exactly a serial GET-and-verify loop.
-fn get_many_stamped(cos: &CosClient, reqs: &[GetReq<'_>]) -> Vec<crate::error::Result<Bytes>> {
+/// `lanes` concurrent connections and verifies each checksum, returning
+/// the whole stamped representation per request. A stamp failure means
+/// the *read* was corrupted — the stored object is intact — so the
+/// failed entries are re-fetched together, up to three reads each, before
+/// surfacing [`PywrenError::Integrity`]. A batch of one is exactly a
+/// serial GET-and-verify loop.
+fn get_many_stamped(
+    cos: &CosClient,
+    reqs: &[GetReq<'_>],
+    lanes: usize,
+) -> Vec<crate::error::Result<Bytes>> {
     let mut out: Vec<Option<crate::error::Result<Bytes>>> = reqs.iter().map(|_| None).collect();
     let mut pending: Vec<usize> = (0..reqs.len()).collect();
     for _ in 0..3 {
@@ -107,11 +111,7 @@ fn get_many_stamped(cos: &CosClient, reqs: &[GetReq<'_>]) -> Vec<crate::error::R
             .filter_map(|&i| reqs.get(i).copied())
             .collect();
         let mut corrupted = Vec::new();
-        for ((&i, req), read) in pending
-            .iter()
-            .zip(&batch)
-            .zip(cos.get_many(&batch, SDK_LANES))
-        {
+        for ((&i, req), read) in pending.iter().zip(&batch).zip(cos.get_many(&batch, lanes)) {
             let result = read.map_err(PywrenError::Storage).and_then(|raw| {
                 match wire::verify_stamped(&raw) {
                     Ok(_) => Ok(raw),
@@ -138,7 +138,7 @@ fn get_many_stamped(cos: &CosClient, reqs: &[GetReq<'_>]) -> Vec<crate::error::R
 
 /// The error of a read that was never attempted (unreachable by
 /// construction, but typed rather than a panic on the agent hot path).
-fn unread(bucket: &str, key: &str) -> PywrenError {
+pub(crate) fn unread(bucket: &str, key: &str) -> PywrenError {
     PywrenError::Integrity {
         key: format!("{bucket}/{key}"),
         detail: "no read attempts were made".to_owned(),
@@ -153,6 +153,19 @@ pub(crate) fn get_verified(
     key: &str,
 ) -> crate::error::Result<Bytes> {
     get_stamped_raw(cos, bucket, key).map(|raw| raw.slice(wire::STAMP_LEN..))
+}
+
+/// [`get_verified`] for a batch read over `lanes` concurrent connections:
+/// each request's payload, or its typed failure, in request order.
+pub(crate) fn get_many_verified(
+    cos: &CosClient,
+    reqs: &[GetReq<'_>],
+    lanes: usize,
+) -> Vec<crate::error::Result<Bytes>> {
+    get_many_stamped(cos, reqs, lanes)
+        .into_iter()
+        .map(|read| read.map(|raw| raw.slice(wire::STAMP_LEN..)))
+        .collect()
 }
 
 /// Key of a job's function blob.
@@ -987,7 +1000,7 @@ fn gather_landed<T>(
         .collect();
     let planned: Vec<Result<Then<T>, String>> = landed
         .iter()
-        .zip(get_many_stamped(cos, &status_reqs))
+        .zip(get_many_stamped(cos, &status_reqs, SDK_LANES))
         .map(|(d, raw)| {
             let raw = raw.map_err(|e| format!("fetching dep status: {e}"))?;
             let status = Value::decode(&raw.slice(wire::STAMP_LEN..))
@@ -1007,7 +1020,7 @@ fn gather_landed<T>(
             _ => None,
         })
         .collect();
-    let mut reads = get_many_stamped(cos, &data_reqs).into_iter();
+    let mut reads = get_many_stamped(cos, &data_reqs, SDK_LANES).into_iter();
     landed
         .iter()
         .zip(planned)
@@ -1032,7 +1045,7 @@ fn fetch_dep_status(cos: &CosClient, d: &ResponseFuture) -> Result<Value, String
 }
 
 /// The error message of a non-`done` status, if any.
-fn map_error_of(status: &Value) -> Option<String> {
+pub(crate) fn map_error_of(status: &Value) -> Option<String> {
     if status.get("state").and_then(Value::as_str) == Some("done") {
         return None;
     }

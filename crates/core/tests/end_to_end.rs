@@ -5,10 +5,12 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use bytes::Bytes;
+use rustwren_core::stats::JobReport;
 use rustwren_core::{
     DataSource, GetResultOpts, MapReduceOpts, PywrenError, SimCloud, SpawnStrategy, TaskCtx, Value,
     WaitPolicy,
 };
+use rustwren_faas::PlatformConfig;
 use rustwren_sim::NetworkProfile;
 
 fn test_cloud() -> SimCloud {
@@ -166,18 +168,34 @@ fn get_result_timeout_fires() {
     cloud.run(|| {
         let exec = cloud.executor().build().unwrap();
         exec.map("forever", [Value::Null]).unwrap();
+        // One status poll: a `wait` that returns after a single LIST.
+        let t0 = rustwren_sim::now();
+        exec.wait(WaitPolicy::Always).unwrap();
+        let poll = rustwren_sim::now() - t0;
+        let timeout = Duration::from_secs(10);
+        let start = rustwren_sim::now();
         let err = exec
             .get_result_with(GetResultOpts {
-                timeout: Some(Duration::from_secs(10)),
+                timeout: Some(timeout),
                 progress: None,
             })
             .unwrap_err();
+        let elapsed = rustwren_sim::now() - start;
         assert_eq!(
             err,
             PywrenError::Timeout {
                 done: 0,
                 pending: 1
             }
+        );
+        // The last sleep stops at the deadline, so the timeout fires after
+        // the one poll that follows it, not a whole poll interval later.
+        // (A LAN LIST's jitter is at most 1 ms.)
+        assert!(elapsed >= timeout, "fired early: {elapsed:?}");
+        assert!(
+            elapsed <= timeout + poll + Duration::from_millis(1),
+            "fired {:?} after the deadline; one status poll takes {poll:?}",
+            elapsed - timeout
         );
     });
 }
@@ -707,4 +725,156 @@ fn clean_removes_all_staged_objects() {
         let removed = staged.clean().unwrap();
         assert_eq!(removed, 1 + 5 * 3, "blob + inputs + statuses + results");
     });
+}
+
+#[test]
+fn streaming_harvest_returns_within_a_poll_of_the_last_agent() {
+    // 1,000 tasks from a WAN client, ending over a 20 s spread. Results are
+    // downloaded on the poll tick they land, so when the last agent ends
+    // only that tick's few statuses are left to fetch, not all 1,000.
+    let platform = PlatformConfig {
+        concurrency_limit: 1_200,
+        cluster_containers: 1_400,
+        ..PlatformConfig::default()
+    };
+    let cloud = SimCloud::builder()
+        .seed(42)
+        .platform(platform)
+        .client_network(NetworkProfile::wan())
+        .build();
+    cloud.register_fn("staggered", |ctx: &TaskCtx, v: Value| {
+        let i = v.as_i64().ok_or("int")?;
+        ctx.charge(Duration::from_millis(10_000 + 20 * i.unsigned_abs()));
+        Ok(v)
+    });
+    let (results, done, poll_interval) = cloud.run(|| {
+        let exec = cloud
+            .executor()
+            .spawn(SpawnStrategy::massive())
+            .build()
+            .unwrap();
+        exec.map("staggered", (0..1_000).map(Value::from)).unwrap();
+        let results = exec.get_result().unwrap();
+        (results, rustwren_sim::now(), exec.config().poll_interval)
+    });
+    assert_eq!(results, (0..1_000).map(Value::from).collect::<Vec<_>>());
+    let agents: Vec<_> = cloud
+        .functions()
+        .records()
+        .into_iter()
+        .filter(|r| r.action.starts_with("rustwren-agent@"))
+        .collect();
+    let last_end = JobReport::from_records(&agents).unwrap().last_end;
+    let lag = done.duration_since(last_end);
+    assert!(
+        lag <= poll_interval + Duration::from_secs(1),
+        "get_result returned {lag:?} after the last agent ended"
+    );
+}
+
+#[test]
+fn results_keep_submission_order_when_tasks_land_in_reverse() {
+    let cloud = test_cloud();
+    cloud.register_fn("countdown", |ctx: &TaskCtx, v: Value| {
+        let i = v.as_i64().ok_or("int")?;
+        ctx.charge(Duration::from_secs(10 * (8 - i.unsigned_abs())));
+        Ok(Value::Int(i * 10))
+    });
+    cloud.run(|| {
+        let exec = cloud.executor().build().unwrap();
+        let futures = exec.map("countdown", (0..8).map(Value::from)).unwrap();
+        let results = exec.get_result().unwrap();
+        assert_eq!(
+            results,
+            (0..8).map(|i| Value::Int(i * 10)).collect::<Vec<_>>()
+        );
+        // Ten seconds apart, each task landed on its own poll tick, last
+        // task first.
+        let ends: Vec<f64> = exec
+            .task_timings(&futures)
+            .unwrap()
+            .iter()
+            .map(|t| t.end_secs)
+            .collect();
+        assert!(ends.windows(2).all(|w| w[0] > w[1]), "{ends:?}");
+    });
+}
+
+#[test]
+fn the_lowest_failing_task_index_is_the_error_returned() {
+    // Task 7 fails at once and task 3 only after 30 s, so the later-landing
+    // failure has the lower index: it is the one reported, on every seed.
+    for seed in [1, 2, 3, 4, 5] {
+        let cloud = SimCloud::builder()
+            .seed(seed)
+            .client_network(NetworkProfile::lan())
+            .build();
+        cloud.register_fn("fail_two", |ctx: &TaskCtx, v: Value| {
+            match v.as_i64().ok_or("int")? {
+                3 => {
+                    ctx.charge(Duration::from_secs(30));
+                    Err("boom 3".into())
+                }
+                7 => Err("boom 7".into()),
+                _ => Ok(v),
+            }
+        });
+        let err = cloud.run(|| {
+            let exec = cloud.executor().build().unwrap();
+            exec.map("fail_two", (0..10).map(Value::from)).unwrap();
+            exec.get_result().unwrap_err()
+        });
+        match err {
+            PywrenError::Task { task, message } => {
+                assert!(task.ends_with("/t00003"), "seed {seed}: {task}");
+                assert!(message.contains("boom 3"), "seed {seed}: {message}");
+            }
+            other => panic!("seed {seed}: expected a task error, got {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn fan_out_of_future_sets_resolves_to_nested_values() {
+    let cloud = test_cloud();
+    register_add7(&cloud);
+    // Returns the futures of `k` add7 tasks; one task is a single-future
+    // set, which resolves to its bare value.
+    cloud.register_fn("spread", |ctx: &TaskCtx, v: Value| {
+        let k = v.as_i64().ok_or("int")?;
+        let exec = ctx.executor().map_err(|e| e.to_string())?;
+        let futs = if k == 1 {
+            vec![exec
+                .call_async("add7", Value::Int(100))
+                .map_err(|e| e.to_string())?]
+        } else {
+            exec.map("add7", (0..k).map(Value::from))
+                .map_err(|e| e.to_string())?
+        };
+        Ok(ctx.futures_value(&futs))
+    });
+    // Two levels: a set holding one `spread` future, itself a set.
+    cloud.register_fn("outer", |ctx: &TaskCtx, v: Value| {
+        let exec = ctx.executor().map_err(|e| e.to_string())?;
+        let fut = exec.call_async("spread", v).map_err(|e| e.to_string())?;
+        Ok(ctx.futures_value(&[fut]))
+    });
+    let results = cloud.run(|| {
+        let exec = cloud.executor().build()?;
+        exec.map("spread", [2, 1, 3].map(Value::from))?;
+        exec.call_async("outer", Value::Int(2))?;
+        exec.call_async("add7", Value::Int(0))?;
+        exec.get_result()
+    });
+    let list = |xs: &[i64]| Value::List(xs.iter().copied().map(Value::Int).collect());
+    assert_eq!(
+        results.unwrap(),
+        vec![
+            list(&[7, 8]),
+            Value::Int(107),
+            list(&[7, 8, 9]),
+            list(&[7, 8]),
+            Value::Int(7),
+        ]
+    );
 }

@@ -333,8 +333,8 @@ fn speculative_copies_rescue_stragglers_without_corrupting_results() {
 
 use proptest::prelude::*;
 use rustwren::core::{
-    CorruptMode, DataSource, FaultPlan, MapReduceOpts, PathScope, SpawnStrategy, TimeWindow,
-    PHASE_AFTER_COMPUTE, PHASE_AFTER_PUT, PHASE_BEFORE_RUN, PHASE_INVOKER,
+    CorruptMode, DataPathConfig, DataSource, FaultPlan, MapReduceOpts, PathScope, SpawnStrategy,
+    TimeWindow, WaitPolicy, PHASE_AFTER_COMPUTE, PHASE_AFTER_PUT, PHASE_BEFORE_RUN, PHASE_INVOKER,
 };
 
 /// Task count for the harness jobs: enough fan-out to hit every hook.
@@ -620,6 +620,116 @@ fn corrupted_status_read_in_a_batched_gather_heals_by_refetch() {
     assert_eq!(results, expected, "healed run matches the baseline");
     assert_eq!(cloud.chaos_stats().corruptions, 1, "the fault fired once");
     assert_eq!(stats.retries + stats.integrity_retries, 0, "{stats:?}");
+}
+
+/// Runs a `TASKS`-wide map whose chaos `plan` is installed once the
+/// executor exists (so it can name the executor's keys), and returns the
+/// gathered results with the recovery counters.
+fn harvest_under(
+    cloud: &SimCloud,
+    retry: RetryPolicy,
+    plan: impl FnOnce(&str) -> FaultPlan,
+) -> (rustwren::core::Result<Vec<Value>>, RecoveryStats) {
+    register_pure_fns(cloud);
+    cloud.run(|| {
+        let exec = cloud
+            .executor()
+            .retry(retry)
+            .data_path(DataPathConfig::staged())
+            .build()
+            .unwrap();
+        exec.map("square", (0..TASKS).map(Value::from)).unwrap();
+        // Every result is staged before the faults start, so they hit only
+        // the client's harvest.
+        exec.wait(WaitPolicy::AllCompleted).unwrap();
+        cloud
+            .kernel()
+            .install_chaos(Arc::new(rustwren::sim::chaos::ChaosEngine::new(plan(
+                exec.exec_id(),
+            ))));
+        (exec.get_result(), exec.recovery_stats())
+    })
+}
+
+#[test]
+fn corrupted_status_read_in_the_result_harvest_heals_by_refetch() {
+    // Task 3's status reads corrupted three times in a row: the harvest's
+    // first verified read (three tries) fails its stamp, the refetch
+    // heals it, and exactly one integrity retry is counted.
+    let seed = 65;
+    let expected = fault_free(seed, JobKind::Map);
+    let cloud = chaos_cloud(seed, None);
+    let (results, stats) = harvest_under(&cloud, RetryPolicy::disabled(), |exec_id| {
+        FaultPlan::new(seed)
+            .corrupt_get(
+                PathScope::prefix(format!("jobs/{exec_id}/1/t00003/status")),
+                TimeWindow::always(),
+                CorruptMode::FlipByte,
+                1.0,
+            )
+            .limit_fires(3)
+    });
+    assert_eq!(
+        results.unwrap(),
+        expected,
+        "healed run matches the baseline"
+    );
+    assert_eq!(cloud.chaos_stats().corruptions, 3);
+    assert_eq!(stats.integrity_retries, 1, "{stats:?}");
+    assert_eq!(stats.integrity_failures, 0, "{stats:?}");
+}
+
+#[test]
+fn exhausted_harvest_refetches_surface_one_integrity_failure() {
+    // Every read of task 3's status is corrupted: one verified read plus
+    // three refetches, three tries each, then the typed error.
+    let seed = 66;
+    let cloud = chaos_cloud(seed, None);
+    let (results, stats) = harvest_under(&cloud, RetryPolicy::disabled(), |exec_id| {
+        FaultPlan::new(seed).corrupt_get(
+            PathScope::prefix(format!("jobs/{exec_id}/1/t00003/status")),
+            TimeWindow::always(),
+            CorruptMode::FlipByte,
+            1.0,
+        )
+    });
+    match results {
+        Err(PywrenError::Integrity { key, .. }) => assert!(key.ends_with("t00003/status"), "{key}"),
+        other => panic!("expected a typed integrity error, got {other:?}"),
+    }
+    assert_eq!(cloud.chaos_stats().corruptions, 12);
+    assert_eq!(stats.integrity_failures, 1, "{stats:?}");
+    assert_eq!(stats.integrity_retries, 0, "{stats:?}");
+}
+
+#[test]
+fn storage_failure_in_the_result_harvest_is_reread_next_tick() {
+    // Task 3's staged result GET fails all four of the COS client's
+    // attempts. With retry on, the next poll tick reads it again; with
+    // retry off, the storage error surfaces.
+    let seed = 67;
+    let expected = fault_free(seed, JobKind::Map);
+    for retry in [RetryPolicy::with_attempts(3), RetryPolicy::disabled()] {
+        let enabled = retry.enabled();
+        let cloud = chaos_cloud(seed, None);
+        let (results, _) = harvest_under(&cloud, retry, |exec_id| {
+            FaultPlan::new(seed)
+                .cos_outage(
+                    PathScope::prefix(format!("jobs/{exec_id}/1/t00003/result")),
+                    TimeWindow::always(),
+                )
+                .limit_fires(4)
+        });
+        assert_eq!(cloud.chaos_stats().cos_faults, 4);
+        if enabled {
+            assert_eq!(results.unwrap(), expected, "re-read on the next tick");
+        } else {
+            assert!(
+                matches!(results, Err(PywrenError::Storage(_))),
+                "{results:?}"
+            );
+        }
+    }
 }
 
 #[test]

@@ -359,22 +359,30 @@ fn cloudsort_random_schedule_fingerprints_are_stable() {
 }
 
 // Captured with RUSTWREN_BLESS=1 on the pre-refactor kernel (PR 8 tree).
-const FIFO_MAP: &str = "r=610214d1d0716dec adv=42 tmr=54 thr=18 vt=2775363273 trace=v1:";
+// Map and CloudSort re-blessed when `get_result` began harvesting each
+// poll tick's landed results over modelled connections from the polling
+// thread instead of a download-thread pool: results, clock advances,
+// timers and virtual end are unchanged; only the thread count fell and
+// the schedule tokens lost the pool's choice points. The map_reduce
+// goldens did not move: their one reducer future was already fetched
+// serially on the polling thread.
+const FIFO_MAP: &str = "r=610214d1d0716dec adv=42 tmr=54 thr=12 vt=2775363273 trace=v1:";
 const FIFO_MAP_REDUCE: &str = "r=dd2c71163533fe08 adv=50 tmr=62 thr=13 vt=2883966541 trace=v1:";
-// CloudSort re-blessed when reducers began gathering their dependencies
-// over concurrent COS lanes: results, thread count and schedule tokens are
-// unchanged; only the clock advances, timers and virtual end moved.
-const FIFO_CLOUDSORT: &str = "r=9a876e1b9c41e132 adv=111 tmr=132 thr=24 vt=3417625311 trace=v1:";
+// CloudSort was first re-blessed when reducers began gathering their
+// dependencies over concurrent COS lanes: results, thread count and
+// schedule tokens were unchanged; only the clock advances, timers and
+// virtual end moved.
+const FIFO_CLOUDSORT: &str = "r=9a876e1b9c41e132 adv=111 tmr=132 thr=20 vt=3417625311 trace=v1:";
 const FIFO_BURST: &str = "r=7b0471a08affaf50 adv=312 tmr=312 thr=104 vt=59766401093 trace=v1:";
 const RAND_MAP: [&str; 2] = [
-    "r=610214d1d0716dec adv=42 tmr=54 thr=18 vt=2775363273 trace=v1:0p1,1r4,3r1,6t2,8t1,9t2,18p1,29t3,30t3,31t1,32t1,34t3,38r4,42r3,44r1,45p1,46r1",
-    "r=610214d1d0716dec adv=42 tmr=54 thr=18 vt=2775363273 trace=v1:3r2,4r1,5t1,14r1,24t4,25t3,26t1,27t1,28t3,30t1,31t1,33r3,35r4,37r2,39r2,41r1",
+    "r=610214d1d0716dec adv=42 tmr=54 thr=12 vt=2775363273 trace=v1:0p1,1r4,3r1,6t2,8t1,9t2,18p1,29t3,30t3,31t1,32t1,34t3",
+    "r=610214d1d0716dec adv=42 tmr=54 thr=12 vt=2775363273 trace=v1:3r2,4r1,5t1,14r1,24t4,25t3,26t1,27t1,28t3,30t1,31t1",
 ];
 const RAND_MAP_REDUCE: [&str; 2] = [
     "r=dd2c71163533fe08 adv=50 tmr=62 thr=13 vt=2883966541 trace=v1:0p1,1r4,3r1,6t2,8t1,14t2,29t3,30t3,31t1,32t1,34t3",
     "r=dd2c71163533fe08 adv=50 tmr=62 thr=13 vt=2883966541 trace=v1:3r2,4r1,5t1,9r1,23r1,29t4,30t3,32t1,33t1,35t1",
 ];
 const RAND_CLOUDSORT: [&str; 2] = [
-    "r=9a876e1b9c41e132 adv=111 tmr=132 thr=24 vt=3417625311 trace=v1:0p1,1r4,3r1,6t2,8t1,9t2,18p1,30r1,31r1,32t1,34t2,47t3,48t1,50t1,51t3,52t2,55t1,56t2,57t1,58t3,62r2,64r1",
-    "r=9a876e1b9c41e132 adv=111 tmr=132 thr=24 vt=3417625311 trace=v1:3r2,4r1,5t1,14r1,24r3,25r2,26r1,27t1,29t2,36p1,46t3,47t2,51t2,53t1,54t1,55t1,57t1,58t1,59t1,65r1",
+    "r=9a876e1b9c41e132 adv=111 tmr=132 thr=20 vt=3417625311 trace=v1:0p1,1r4,3r1,6t2,8t1,9t2,18p1,30r1,31r1,32t1,34t2,47t3,48t1,50t1,51t3,52t2,55t1,56t2,57t1,58t3",
+    "r=9a876e1b9c41e132 adv=111 tmr=132 thr=20 vt=3417625311 trace=v1:3r2,4r1,5t1,14r1,24r3,25r2,26r1,27t1,29t2,36p1,46t3,47t2,51t2,53t1,54t1,55t1,57t1,58t1,59t1",
 ];
