@@ -192,9 +192,9 @@ pub struct ShuffleShape {
 /// How the client will spawn the job's invocations (paper §3.1 / Fig. 2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SpawnProfile {
-    /// The client thread pool POSTs every invocation itself.
+    /// The client POSTs every invocation itself.
     Direct {
-        /// Number of client-side invoker threads.
+        /// Concurrent client connections issuing the invocations.
         client_threads: usize,
     },
     /// A remote invoker function fans groups of invocations out from inside
@@ -202,7 +202,7 @@ pub enum SpawnProfile {
     RemoteInvoker {
         /// Invocations delegated to each remote invoker activation.
         group_size: usize,
-        /// Threads each remote invoker runs.
+        /// Concurrent connections each remote invoker fires its group over.
         invoker_threads: usize,
     },
 }

@@ -140,6 +140,14 @@ fn replay(
             }
             lat_ms.sort_by(f64::total_cmp);
             let stats: TenantStats = faas.tenant_stats(ns).unwrap_or_default();
+            // The driver calls `invoke_in` directly, so every shed or
+            // throttle it saw is one the platform counted: report the
+            // platform's counts.
+            assert_eq!(
+                (client_shed, client_throttled),
+                (stats.shed, stats.throttled),
+                "tenant {ns}: the platform's sheds and throttles differ from the driver's"
+            );
             out.push(TenantOut {
                 namespace: ns.clone(),
                 submitted: ids.len() as u64 + client_throttled + client_shed,
@@ -149,8 +157,8 @@ fn replay(
                 cold_rate: stats.cold_start_rate(),
                 warm_pool_secs: stats.warm_pool_seconds,
                 prewarmed: stats.prewarmed,
-                shed: stats.shed + client_shed,
-                throttled: stats.throttled + client_throttled,
+                shed: stats.shed,
+                throttled: stats.throttled,
             });
         }
         out

@@ -8,11 +8,11 @@ use rustwren_faas::DEFAULT_RUNTIME;
 /// How the client turns a list of tasks into cloud invocations (§5.1).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SpawnStrategy {
-    /// The client issues every invocation itself over its own network, from
-    /// a small thread pool — the original PyWren behaviour. Slow from a
-    /// high-latency network.
+    /// The client issues every invocation itself over its own network, over
+    /// a few concurrent connections — the original PyWren behaviour. Slow
+    /// from a high-latency network.
     Direct {
-        /// Concurrent client-side invocation threads.
+        /// Concurrent client connections issuing the invocations.
         client_threads: usize,
     },
     /// *Massive function spawning*: the client invokes a handful of remote
@@ -22,8 +22,8 @@ pub enum SpawnStrategy {
         /// Invocations per remote invoker function (the paper settled on
         /// groups of 100).
         group_size: usize,
-        /// Concurrent invocation streams inside each invoker container
-        /// (bounded by one container's CPU).
+        /// Concurrent connections each invoker function fires its group
+        /// over (bounded by one container's CPU).
         invoker_threads: usize,
     },
     /// Per-job choice — the paper's "mechanism … can be enabled and

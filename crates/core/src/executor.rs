@@ -21,7 +21,7 @@ use crate::config::{
 };
 use crate::error::{PywrenError, Result};
 use crate::future::{ResponseFuture, WaitPolicy};
-use crate::invoker::{agent_action_name, deploy_agent, round_robin_pool, spawn_tasks};
+use crate::invoker::{agent_action_name, deploy_agent, spawn_tasks};
 use crate::job::{func_key, status_value, AgentPayload, TaskSpec};
 use crate::partition::{discover, partition_objects, DataSource};
 use crate::shuffle::{ExchangeMode, Partitioner, ShufflePlane, MAX_REDUCERS};
@@ -885,28 +885,37 @@ impl Executor {
             }
             payloads.push(payload);
         }
-        self.parallel_upload(uploads)?;
+        self.inner.cos_stage.put_many(
+            &self.inner.config.storage_bucket,
+            &uploads,
+            CLIENT_CONNECTIONS,
+        )?;
 
         // 3. Invoke.
         let futures: Vec<ResponseFuture> = payloads.iter().map(AgentPayload::future).collect();
-        let inlines: Vec<Option<Value>> = payloads.iter().map(|p| p.inline.clone()).collect();
         let ids = spawn_tasks(
             &self.inner.faas,
             &self.inner.config.spawn,
             &self.inner.agent_action,
-            payloads,
+            &payloads,
         )?;
+        self.record_first_attempts(payloads, ids);
+        Ok(futures)
+    }
+
+    /// Records each just-invoked payload as its task's fresh first attempt.
+    fn record_first_attempts(&self, payloads: Vec<AgentPayload>, ids: Vec<Option<ActivationId>>) {
         let now = self.inner.cloud.kernel().now();
         let mut recovery = self.inner.recovery.lock();
-        for ((f, id), inline) in futures.iter().zip(ids).zip(inlines) {
+        for (payload, activation) in payloads.into_iter().zip(ids) {
             recovery.insert(
-                (f.job_id(), f.task()),
+                (payload.job_id, payload.task),
                 TaskRecovery {
-                    func_name: func.to_owned(),
-                    inline,
+                    func_name: payload.func_name,
+                    inline: payload.inline,
                     attempts: 1,
                     invoked_at: now,
-                    activation: id,
+                    activation,
                     retry_at: None,
                     speculated: false,
                     done_elapsed: None,
@@ -914,17 +923,6 @@ impl Executor {
                 },
             );
         }
-        drop(recovery);
-        Ok(futures)
-    }
-
-    fn parallel_upload(&self, uploads: Vec<(String, Bytes)>) -> Result<()> {
-        let cos = self.inner.cos_stage.clone();
-        let bucket = self.inner.config.storage_bucket.clone();
-        round_robin_pool("upload", CLIENT_CONNECTIONS, uploads, move |(key, data)| {
-            cos.put(&bucket, &key, data)
-        })?;
-        Ok(())
     }
 
     /// The payload of an agent invocation that runs task `task` of this
@@ -1367,7 +1365,7 @@ impl Executor {
             &self.inner.faas,
             &self.inner.config.spawn,
             &self.inner.agent_action,
-            vec![payload],
+            std::slice::from_ref(&payload),
         )?;
         let id = ids.into_iter().next().flatten();
         let now = self.inner.cloud.kernel().now();
@@ -1885,29 +1883,11 @@ impl Executor {
             &self.inner.faas,
             &self.inner.config.spawn,
             &self.inner.agent_action,
-            payloads.clone(),
+            &payloads,
         )?;
         // A manual reinvocation resets the task's recovery bookkeeping: it
         // is a fresh first attempt, not a counted automatic retry.
-        let now = self.inner.cloud.kernel().now();
-        let mut recovery = self.inner.recovery.lock();
-        for (payload, id) in payloads.into_iter().zip(ids) {
-            recovery.insert(
-                (payload.job_id, payload.task),
-                TaskRecovery {
-                    func_name: payload.func_name,
-                    inline: payload.inline,
-                    attempts: 1,
-                    invoked_at: now,
-                    activation: id,
-                    retry_at: None,
-                    speculated: false,
-                    done_elapsed: None,
-                    exhausted: false,
-                },
-            );
-        }
-        drop(recovery);
+        self.record_first_attempts(payloads, ids);
         self.inner.pending.lock().extend(futures.iter().cloned());
         Ok(())
     }

@@ -1,11 +1,11 @@
 //! Invocation strategies, including massive function spawning (§5.1).
 //!
 //! `Direct` reproduces the original PyWren behaviour: the client issues
-//! every invocation itself from a small thread pool — each call paying the
-//! client's (possibly WAN) network latency. `RemoteInvoker` is the paper's
-//! *massive function spawning* mechanism: the client invokes a few remote
-//! invoker functions, each of which fires a group of invocations from
-//! inside the cloud, collapsing 38 s of WAN spawning into ~8 s.
+//! every invocation itself over a few concurrent connections — each call
+//! paying the client's (possibly WAN) network latency. `RemoteInvoker` is
+//! the paper's *massive function spawning* mechanism: the client invokes a
+//! few remote invoker functions, each of which fires a group of invocations
+//! from inside the cloud, collapsing 38 s of WAN spawning into ~8 s.
 
 use std::sync::Weak;
 
@@ -65,7 +65,10 @@ pub(crate) fn deploy_invoker(cloud: &SimCloud) {
 }
 
 /// Body of the remote invoker function: fire every invocation in its group
-/// from inside the cloud, over `threads` concurrent streams.
+/// from inside the cloud, over `threads` concurrent connections. After a
+/// failure it invokes nothing more, and it ends only once the invocations
+/// in flight have resolved, reporting the lowest-indexed failure — so no
+/// invocation outlives its activation.
 fn run_invoker(
     ctx: &ActivationCtx,
     payload: Bytes,
@@ -91,7 +94,7 @@ fn run_invoker(
         })
         .collect::<std::result::Result<_, _>>()?;
 
-    // Chaos invoker-kill: die before spawning the group, so none of this
+    // Chaos invoker-kill: die before firing the group, so none of this
     // invoker's tasks ever receives an activation — exercising the
     // client-side recovery path for tasks with no id and no status.
     crate::job::chaos_crash_point(
@@ -99,38 +102,25 @@ fn run_invoker(
         rustwren_sim::hash::hash2(ctx.activation_id().0, 0x1412),
     );
 
-    let client = ctx.faas_client();
     let count = tasks.len();
-    let handles: Vec<_> = chunk_round_robin(tasks, threads)
-        .into_iter()
-        .enumerate()
-        .map(|(t, chunk)| {
-            let client = client.clone();
-            let action = action.clone();
-            rustwren_sim::spawn(format!("invoker-{t}"), move || {
-                for task in chunk {
-                    client.invoke(&action, task).map_err(|e| e.to_string())?;
-                }
-                Ok::<(), String>(())
-            })
-        })
-        .collect();
-    for h in handles {
-        h.join().map_err(rustwren_faas::ActionError)?;
-    }
+    ctx.faas_client()
+        .invoke_many(&action, tasks, threads)
+        .map_err(|e| rustwren_faas::ActionError(e.to_string()))?;
     Ok(Value::Int(count as i64).encode())
 }
 
 /// Issues one agent invocation per payload according to `strategy`, using
-/// the executor's FaaS client. Returns once every invocation is accepted,
-/// with one entry per payload: the agent's [`ActivationId`] where the client
-/// issued the invocation itself (`Direct`), or `None` when a remote invoker
-/// issued it (the ids stay inside the cloud).
+/// the executor's FaaS client (see
+/// [`FaasClient::invoke_many`](rustwren_faas::FaasClient::invoke_many)).
+/// Returns one entry per payload: the agent's [`ActivationId`] where the
+/// client issued the invocation itself (`Direct`), or `None` when a remote
+/// invoker issued it (the ids stay inside the cloud). On a failure, returns
+/// the lowest-indexed one once no invocation is in flight.
 pub(crate) fn spawn_tasks(
     faas: &rustwren_faas::FaasClient,
     strategy: &SpawnStrategy,
     agent_action: &str,
-    payloads: Vec<AgentPayload>,
+    payloads: &[AgentPayload],
 ) -> Result<Vec<Option<ActivationId>>> {
     let count = payloads.len();
     let strategy = strategy.resolve_for(count);
@@ -146,7 +136,8 @@ pub(crate) fn spawn_tasks(
                 ));
             }
             let encoded: Vec<Bytes> = payloads.iter().map(AgentPayload::encode).collect();
-            parallel_invoke(faas, agent_action, encoded, *client_threads)
+            let ids = faas.invoke_many(agent_action, encoded, *client_threads)?;
+            Ok(ids.into_iter().map(Some).collect())
         }
         SpawnStrategy::RemoteInvoker {
             group_size,
@@ -177,91 +168,12 @@ pub(crate) fn spawn_tasks(
                 })
                 .collect();
             // The handful of invoker calls still leave the client over its
-            // own network, from a small pool. The agent activation ids are
-            // issued inside the cloud and never reported back.
-            parallel_invoke(faas, INVOKER_ACTION, groups, 5)?;
+            // own network, over a few connections. The agent activation ids
+            // are issued inside the cloud and never reported back.
+            faas.invoke_many(INVOKER_ACTION, groups, 5)?;
             Ok(vec![None; count])
         }
     }
-}
-
-/// Invokes `action` once per payload over `threads` simulated client
-/// threads. Returns the activation ids in payload order.
-fn parallel_invoke(
-    faas: &rustwren_faas::FaasClient,
-    action: &str,
-    payloads: Vec<Bytes>,
-    threads: usize,
-) -> Result<Vec<Option<ActivationId>>> {
-    let client = faas.clone();
-    let action = action.to_owned();
-    let ids = round_robin_pool("spawn", threads, payloads, move |p| {
-        client.invoke(&action, p)
-    })?;
-    Ok(ids.into_iter().map(Some).collect())
-}
-
-/// Runs `op` on every item over up to `threads` simulated client threads
-/// named `{name}-{t}`, dealing the items round-robin. Each thread stops at
-/// its first failure. Once all have finished, returns the outputs in item
-/// order, or the failure of the lowest-numbered failing thread.
-pub(crate) fn round_robin_pool<T, R, E>(
-    name: &str,
-    threads: usize,
-    items: Vec<T>,
-    op: impl Fn(T) -> std::result::Result<R, E> + Clone + Send + 'static,
-) -> std::result::Result<Vec<R>, E>
-where
-    T: Send + 'static,
-    R: Send + 'static,
-    E: Send + 'static,
-{
-    let n = items.len();
-    let indexed: Vec<(usize, T)> = items.into_iter().enumerate().collect();
-    let handles: Vec<_> = chunk_round_robin(indexed, threads.clamp(1, n.max(1)))
-        .into_iter()
-        .enumerate()
-        .map(|(t, chunk)| {
-            let op = op.clone();
-            rustwren_sim::spawn(format!("{name}-{t}"), move || {
-                chunk
-                    .into_iter()
-                    .map(|(i, item)| op(item).map(|r| (i, r)))
-                    .collect::<std::result::Result<Vec<_>, E>>()
-            })
-        })
-        .collect();
-    let mut out: Vec<Option<R>> = (0..n).map(|_| None).collect();
-    let mut first_err = None;
-    for h in handles {
-        match h.join() {
-            Ok(pairs) => {
-                for (i, r) in pairs {
-                    if let Some(slot) = out.get_mut(i) {
-                        *slot = Some(r);
-                    }
-                }
-            }
-            Err(e) => {
-                first_err.get_or_insert(e);
-            }
-        }
-    }
-    match first_err {
-        Some(e) => Err(e),
-        None => Ok(out.into_iter().flatten().collect()),
-    }
-}
-
-/// Distributes items into `n` chunks preserving overall order within each.
-fn chunk_round_robin<T>(items: Vec<T>, n: usize) -> Vec<Vec<T>> {
-    let mut chunks: Vec<Vec<T>> = (0..n).map(|_| Vec::new()).collect();
-    for (i, item) in items.into_iter().enumerate() {
-        // lint: allow(L009) — `% n` keeps the index in bounds
-        chunks[i % n].push(item);
-    }
-    chunks.retain(|c| !c.is_empty());
-    chunks
 }
 
 #[cfg(test)]
@@ -275,19 +187,5 @@ mod tests {
             "rustwren-agent@python-jessie:3"
         );
         assert_ne!(agent_action_name("a"), agent_action_name("b"));
-    }
-
-    #[test]
-    fn chunking_covers_all_items() {
-        let chunks = chunk_round_robin((0..10).collect::<Vec<_>>(), 3);
-        let mut all: Vec<_> = chunks.into_iter().flatten().collect();
-        all.sort_unstable();
-        assert_eq!(all, (0..10).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn chunking_with_more_threads_than_items() {
-        let chunks = chunk_round_robin(vec![1, 2], 8);
-        assert_eq!(chunks.len(), 2);
     }
 }

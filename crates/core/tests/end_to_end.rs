@@ -878,3 +878,56 @@ fn fan_out_of_future_sets_resolves_to_nested_values() {
         ]
     );
 }
+
+#[test]
+fn a_partly_shed_invoker_stops_invoking_and_outlives_its_invocations() {
+    use rustwren_core::invoker::INVOKER_ACTION;
+    use rustwren_faas::{TenantConfig, TenantStats, DEFAULT_NAMESPACE};
+
+    // The namespace holds the invoker itself plus one queued agent, so
+    // most of the 12-task group is shed. Payloads shrink with the task
+    // index, so task 0, issued first, lands last among the first four
+    // concurrent invocations and is shed while later tasks are still to
+    // be invoked. The invoker must stop invoking at the shed, and issue
+    // no invocation after its activation ended.
+    let cloud = SimCloud::builder()
+        .seed(11)
+        .client_network(NetworkProfile::lan())
+        .platform(PlatformConfig {
+            tenants: vec![TenantConfig::new(DEFAULT_NAMESPACE, 1).queue_depth(1)],
+            ..PlatformConfig::default()
+        })
+        .build();
+    cloud.register_fn("len", |_ctx: &TaskCtx, v: Value| {
+        Ok(Value::Int(v.as_str().ok_or("expected str")?.len() as i64))
+    });
+    let faas = cloud.functions().clone();
+    let tried = |s: TenantStats| s.submitted + s.shed + s.throttled;
+    let (at_end, later) = cloud.run(|| {
+        let exec = cloud
+            .executor()
+            .spawn(SpawnStrategy::RemoteInvoker {
+                group_size: 12,
+                invoker_threads: 4,
+            })
+            .build()
+            .unwrap();
+        let inputs = (0..12).map(|i| Value::from("x".repeat(100 * (12 - i))));
+        exec.map("len", inputs).unwrap();
+        let invoker = faas.activations_for(INVOKER_ACTION)[0].id;
+        faas.wait(invoker);
+        let at_end = tried(faas.tenant_stats(DEFAULT_NAMESPACE).unwrap());
+        rustwren_sim::sleep(Duration::from_secs(120));
+        (at_end, tried(faas.tenant_stats(DEFAULT_NAMESPACE).unwrap()))
+    });
+    assert_eq!(
+        later, at_end,
+        "invocations were issued after the invoker ended"
+    );
+    // The invoker itself, then part of its 12-task group.
+    assert!(at_end < 1 + 12, "{at_end} invocations tried");
+    let stats = faas.tenant_stats(DEFAULT_NAMESPACE).unwrap();
+    assert!(stats.shed > 0, "part of the group was shed");
+    let invokers = faas.activations_for(INVOKER_ACTION);
+    assert!(!invokers[0].is_success(), "the invoker reports the shed");
+}

@@ -14,7 +14,7 @@ use std::time::Duration;
 
 use bytes::Bytes;
 use rustwren_sim::hash::{hash2, hash_str};
-use rustwren_sim::{NetworkProfile, SimInstant};
+use rustwren_sim::{step_serial, try_drive_lanes, NetworkProfile, SimInstant, Step};
 
 use crate::activation::{ActivationId, ActivationRecord};
 use crate::error::InvokeError;
@@ -171,61 +171,36 @@ impl FaasClient {
     /// [`InvokeError::Network`] / [`InvokeError::Throttled`] after
     /// exhausting retries.
     pub fn invoke(&self, action: &str, payload: Bytes) -> Result<ActivationId, InvokeError> {
-        let api_overhead = self.platform.config().api_overhead;
-        let path = hash_str(action);
-        let mut net_attempts = 0;
-        let mut throttle_attempts = 0;
-        loop {
-            let token = hash2(self.seed, hash2(path, rustwren_sim::now().as_nanos()));
-            rustwren_sim::sleep(self.net.request_cost(payload.len() as u64, token) + api_overhead);
-            if self.net.fails(token) {
-                net_attempts += 1;
-                if net_attempts >= self.max_attempts {
-                    return Err(InvokeError::Network {
-                        action: action.to_owned(),
-                        attempts: net_attempts,
-                    });
-                }
-                rustwren_sim::sleep(Duration::from_millis(40) * 2u32.pow(net_attempts - 1));
-                continue;
-            }
-            match self
-                .platform
-                .invoke_in(self.namespace.as_str(), action, payload.clone())
-            {
-                Ok(id) => return Ok(id),
-                Err(e @ InvokeError::ActionNotFound(_)) => return Err(e),
-                Err(e @ InvokeError::ShedLoad { .. }) => {
-                    // Shed means the admission queue is full: retrying only
-                    // feeds the storm. Surface it to the caller (and the
-                    // fleet-wide signal) and let job-level policy decide.
-                    if let Some(s) = &self.signal {
-                        s.record_shed();
-                    }
-                    return Err(e);
-                }
-                Err(InvokeError::Throttled { limit, retry_after }) => {
-                    throttle_attempts += 1;
-                    if let Some(s) = &self.signal {
-                        s.record_throttle(rustwren_sim::now() + retry_after);
-                    }
-                    if throttle_attempts >= MAX_THROTTLE_ATTEMPTS {
-                        return Err(InvokeError::Throttled { limit, retry_after });
-                    }
-                    let backoff = if self.honor_retry_after {
-                        // The server told us exactly when capacity may
-                        // free; sleeping any less just buys another 429.
-                        retry_after.max(Duration::from_millis(1))
-                    } else {
-                        // Blind exponential, as the PyWren client does;
-                        // capped so a drained slot is picked up quickly.
-                        (Duration::from_millis(250) * 2u32.pow(throttle_attempts.min(4) - 1))
-                            .min(Duration::from_secs(2))
-                    };
-                    rustwren_sim::sleep(backoff);
-                }
-                Err(e @ InvokeError::Network { .. }) => return Err(e),
-            }
+        let mut invocation = self.issue(action, payload);
+        step_serial(|| invocation.step(self))
+    }
+
+    /// Invokes `action` once per payload, each as [`invoke`](Self::invoke)
+    /// would, over `lanes` connections from the calling simulated thread
+    /// (see [`try_drive_lanes`]); returns the ids in payload order.
+    ///
+    /// # Errors
+    ///
+    /// The lowest-indexed failure. Nothing more is invoked after a failure,
+    /// and no invocation in flight outlives the call.
+    pub fn invoke_many(
+        &self,
+        action: &str,
+        payloads: Vec<Bytes>,
+        lanes: usize,
+    ) -> Result<Vec<ActivationId>, InvokeError> {
+        let invocations = payloads.into_iter().map(|p| self.issue(action, p));
+        try_drive_lanes(invocations, lanes, |invocation| invocation.step(self))
+    }
+
+    fn issue<'a>(&self, action: &'a str, payload: Bytes) -> Invocation<'a> {
+        Invocation {
+            action,
+            path: hash_str(action),
+            payload,
+            net_attempts: 0,
+            throttle_attempts: 0,
+            in_flight: None,
         }
     }
 
@@ -252,11 +227,88 @@ impl FaasClient {
     }
 }
 
+/// The retry state of one invocation request: issue an attempt, wait out
+/// its round trip, submit at the completion instant, back off on network
+/// loss or a 429, reissue. [`step`](Invocation::step) never sleeps, so
+/// serial and batched invokes apply exactly the same rules.
+struct Invocation<'a> {
+    action: &'a str,
+    path: u64,
+    payload: Bytes,
+    net_attempts: u32,
+    throttle_attempts: u32,
+    /// The in-flight attempt's token; `None` between attempts.
+    in_flight: Option<u64>,
+}
+
+impl Invocation<'_> {
+    fn step(&mut self, client: &FaasClient) -> Step<Result<ActivationId, InvokeError>> {
+        let Some(token) = self.in_flight.take() else {
+            let token = hash2(
+                client.seed,
+                hash2(self.path, rustwren_sim::now().as_nanos()),
+            );
+            self.in_flight = Some(token);
+            return Step::Wait(
+                client.net.request_cost(self.payload.len() as u64, token)
+                    + client.platform.config().api_overhead,
+            );
+        };
+        if client.net.fails(token) {
+            self.net_attempts += 1;
+            if self.net_attempts >= client.max_attempts {
+                return Step::Done(Err(InvokeError::Network {
+                    action: self.action.to_owned(),
+                    attempts: self.net_attempts,
+                }));
+            }
+            return Step::Wait(Duration::from_millis(40) * 2u32.pow(self.net_attempts - 1));
+        }
+        match client.platform.invoke_in(
+            client.namespace.as_str(),
+            self.action,
+            self.payload.clone(),
+        ) {
+            Ok(id) => Step::Done(Ok(id)),
+            Err(e @ InvokeError::ShedLoad { .. }) => {
+                // Shed means the admission queue is full: retrying only
+                // feeds the storm. Surface it to the caller (and the
+                // fleet-wide signal) and let job-level policy decide.
+                if let Some(s) = &client.signal {
+                    s.record_shed();
+                }
+                Step::Done(Err(e))
+            }
+            Err(InvokeError::Throttled { limit, retry_after }) => {
+                self.throttle_attempts += 1;
+                if let Some(s) = &client.signal {
+                    s.record_throttle(rustwren_sim::now() + retry_after);
+                }
+                if self.throttle_attempts >= MAX_THROTTLE_ATTEMPTS {
+                    return Step::Done(Err(InvokeError::Throttled { limit, retry_after }));
+                }
+                Step::Wait(if client.honor_retry_after {
+                    // The server told us exactly when capacity may free;
+                    // sleeping any less just buys another 429.
+                    retry_after.max(Duration::from_millis(1))
+                } else {
+                    // Blind exponential, as the PyWren client does; capped
+                    // so a drained slot is picked up quickly.
+                    (Duration::from_millis(250) * 2u32.pow(self.throttle_attempts.min(4) - 1))
+                        .min(Duration::from_secs(2))
+                })
+            }
+            // An unknown action fails at once, without retry.
+            Err(e) => Step::Done(Err(e)),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::action::ActionConfig;
-    use crate::platform::{ActivationCtx, PlatformConfig};
+    use crate::platform::{ActivationCtx, PlatformConfig, PlatformStats};
     use rustwren_sim::Kernel;
     use rustwren_store::ObjectStore;
 
@@ -385,7 +437,107 @@ mod tests {
                 client.invoke("ghost", Bytes::new()),
                 Err(InvokeError::ActionNotFound("ghost".into()))
             );
+            // A batch fails with it too, after the first two concurrent
+            // requests: nothing more is issued once one failed.
+            let instant = FaasClient::new(&faas, NetworkProfile::instant(), 1);
+            let t0 = rustwren_sim::now();
+            assert_eq!(
+                instant.invoke_many("ghost", vec![Bytes::new(); 5], 2),
+                Err(InvokeError::ActionNotFound("ghost".into()))
+            );
+            assert_eq!(
+                rustwren_sim::now() - t0,
+                PlatformConfig::default().api_overhead
+            );
         });
+        assert_eq!(faas.stats(), PlatformStats::default());
+    }
+
+    #[test]
+    fn invoke_many_with_one_lane_replays_serial_invokes_bit_for_bit() {
+        // Lossy network and 429s: retries, backoffs and throttle waits all
+        // depend on each attempt's token, so equal outcomes, clocks,
+        // records and counters mean equal tokens.
+        let run = |batched: bool| {
+            let cfg = PlatformConfig {
+                concurrency_limit: 2,
+                ..PlatformConfig::default()
+            };
+            let (kernel, faas) = setup(cfg);
+            faas.register_action(
+                "slow",
+                ActionConfig::default(),
+                |ctx: &ActivationCtx, _p: Bytes| {
+                    ctx.charge(Duration::from_secs(2));
+                    Ok(Bytes::new())
+                },
+            )
+            .unwrap();
+            let out = kernel.run("client", || {
+                let signal = ThrottleSignal::new();
+                let client =
+                    FaasClient::new(&faas, NetworkProfile::lan().with_failure_rate(0.3), 1)
+                        .with_max_attempts(2)
+                        .with_throttle_signal(Arc::clone(&signal));
+                let payloads: Vec<Bytes> = (0..20u8).map(|i| Bytes::from(vec![i; 10])).collect();
+                let ids = if batched {
+                    client.invoke_many("slow", payloads, 1)
+                } else {
+                    payloads
+                        .into_iter()
+                        .map(|p| client.invoke("slow", p))
+                        .collect()
+                };
+                let submitted = rustwren_sim::now();
+                rustwren_sim::sleep(Duration::from_secs(60));
+                (ids, submitted, signal.throttles())
+            });
+            (out, faas.records(), faas.stats())
+        };
+        let serial = run(false);
+        let ((ids, _, throttles), records, _) = &serial;
+        assert!(*throttles > 0, "the limit of 2 throttled");
+        assert!(ids.is_err(), "an invocation lost the network");
+        assert!(
+            (1..20).contains(&records.len()),
+            "the batch stopped at its failure: {} activations",
+            records.len()
+        );
+        assert_eq!(run(true), serial);
+    }
+
+    #[test]
+    fn invoke_many_makespan_obeys_the_lane_floor() {
+        let n = 37;
+        let api_overhead = PlatformConfig::default().api_overhead;
+        let makespan = |net: NetworkProfile, lanes: Option<usize>| {
+            let (kernel, faas) = setup(PlatformConfig::default());
+            kernel.run("client", || {
+                let client = FaasClient::new(&faas, net, 1);
+                let payloads = vec![Bytes::new(); n];
+                let ids = match lanes {
+                    Some(k) => client.invoke_many("echo", payloads, k),
+                    None => payloads
+                        .into_iter()
+                        .map(|p| client.invoke("echo", p))
+                        .collect(),
+                };
+                assert_eq!(ids.map(|ids| ids.len()), Ok(n));
+                rustwren_sim::now().duration_since(SimInstant::ZERO)
+            })
+        };
+        let lan = NetworkProfile::lan().with_failure_rate(0.0);
+        let serial = makespan(lan.clone(), None);
+        for k in [1, 2, 3, 16, 64] {
+            let floor = api_overhead * n.div_ceil(k) as u32;
+            // The control-plane overhead alone is the whole cost on an
+            // instant network.
+            assert_eq!(makespan(NetworkProfile::instant(), Some(k)), floor, "k={k}");
+            let got = makespan(lan.clone(), Some(k));
+            assert!(got >= floor, "k={k}: {got:?} below the {floor:?} floor");
+            assert!(got <= serial, "k={k}: {got:?} above the serial {serial:?}");
+        }
+        assert_eq!(makespan(lan, Some(1)), serial);
     }
 
     #[test]
@@ -402,5 +554,25 @@ mod tests {
                 })
             );
         });
+        // A batch over three lanes fails as one invocation does, in the
+        // time of one: its first three requests fail together and the
+        // other seven are never issued.
+        let lost = NetworkProfile::instant().with_failure_rate(1.0);
+        let elapsed = |batch: usize| {
+            let (kernel, faas) = setup(PlatformConfig::default());
+            kernel.run("client", || {
+                let client = FaasClient::new(&faas, lost.clone(), 1).with_max_attempts(3);
+                let got = client.invoke_many("echo", vec![Bytes::new(); batch], 3);
+                assert_eq!(
+                    got,
+                    Err(InvokeError::Network {
+                        action: "echo".into(),
+                        attempts: 3
+                    })
+                );
+                rustwren_sim::now().duration_since(SimInstant::ZERO)
+            })
+        };
+        assert_eq!(elapsed(10), elapsed(1));
     }
 }

@@ -33,6 +33,8 @@
 //!
 //! * [`sync`] — events, MPMC channels, semaphores, wait groups, all blocking
 //!   in virtual time.
+//! * [`lanes`] — modelled connection pools: request state machines
+//!   driven as concurrent lanes from the caller's own simulated thread.
 //! * [`NetworkProfile`] — latency/bandwidth/loss cost model used by the
 //!   object-store and FaaS simulators.
 //! * [`hash`] — deterministic mixing used for per-request jitter so repeated
@@ -54,6 +56,7 @@
 pub mod chaos;
 pub mod hash;
 mod kernel;
+pub mod lanes;
 mod net;
 pub mod order;
 mod rawlock;
@@ -69,6 +72,7 @@ pub use kernel::{
     exploring, kernel, now, sleep, spawn, spawn_light, Kernel, KernelStats, LightStep, ResourceId,
     SimJoinHandle,
 };
+pub use lanes::{drive_lanes, step_serial, try_drive_lanes, Step};
 pub use net::NetworkProfile;
 pub use order::{CondvarObs, LockInstance, OrderEdge, RunOrderReport, SyncKind, VectorClock};
 pub use sched::{

@@ -16,7 +16,7 @@ use std::time::Duration;
 use bytes::Bytes;
 use rustwren_sim::chaos::ChaosEngine;
 use rustwren_sim::hash::{hash2, StrHasher};
-use rustwren_sim::{NetworkProfile, SimInstant};
+use rustwren_sim::{drive_lanes, step_serial, try_drive_lanes, NetworkProfile, Step};
 
 use crate::error::StoreError;
 use crate::object::{BucketMeta, ObjectMeta};
@@ -44,7 +44,8 @@ enum OpSuffix {
     Const(&'static str),
     /// `"[{start}..{end}]"` — a range GET.
     Range(u64, u64),
-    /// `" part {lane}.{index}"` — one multipart-upload part.
+    /// `" part {lane}.{index}"` — one multipart-upload part, named by its
+    /// place in a round-robin deal of the upload's parts over its lanes.
     Part(usize, usize),
 }
 
@@ -90,17 +91,17 @@ impl fmt::Display for CosOp<'_> {
 }
 
 /// Requests one client keeps in flight at a time — the COS SDKs' default
-/// transfer concurrency. Bounds the parts of a
-/// [`put_multipart`](CosClient::put_multipart) and the lanes of a
-/// [`get_many`](CosClient::get_many).
+/// transfer concurrency: the lanes of a
+/// [`put_multipart`](CosClient::put_multipart), and of the agents'
+/// [`get_many`](CosClient::get_many) batches.
 pub const SDK_LANES: usize = 16;
 
 /// The retry state of one charged request: issue an attempt, wait out its
 /// cost, judge it at its completion instant, back off, reissue.
 /// [`step`](Charge::step) never sleeps — it tells the driver how long to
 /// wait before stepping again — so the serial ops (which sleep in place)
-/// and [`CosClient::get_many`] (which sleeps until the earliest of its
-/// lanes) apply exactly the same rules.
+/// and the batched ones (which [`drive_lanes`] sleeps until the earliest
+/// of their lanes) apply exactly the same rules.
 struct Charge<'a> {
     op: CosOp<'a>,
     bucket: &'a str,
@@ -115,15 +116,6 @@ struct Charge<'a> {
     attempt: u32,
     /// The in-flight attempt's token; `None` between attempts.
     in_flight: Option<u64>,
-}
-
-/// What a [`Charge`] needs next.
-enum Step {
-    /// Step again after this much virtual time.
-    Wait(Duration),
-    /// The request finished: the successful attempt's token, or the
-    /// terminal network error.
-    Done(Result<u64, StoreError>),
 }
 
 impl<'a> Charge<'a> {
@@ -153,7 +145,9 @@ impl<'a> Charge<'a> {
         }
     }
 
-    fn step(&mut self, client: &CosClient) -> Step {
+    /// Finishes with the successful attempt's token, or the terminal
+    /// network error.
+    fn step(&mut self, client: &CosClient) -> Step<Result<u64, StoreError>> {
         let Some(token) = self.in_flight.take() else {
             self.attempt += 1;
             // Stateless token: (seed, path, issue instant). Attempts are
@@ -184,6 +178,42 @@ impl<'a> Charge<'a> {
         }
         // Exponential backoff, as in the COS SDKs.
         Step::Wait(Duration::from_millis(50) * 2u32.pow(self.attempt - 1))
+    }
+}
+
+/// One PUT: tallied when issued, stored when its charge lands.
+struct Put<'a> {
+    charge: Charge<'a>,
+    data: Bytes,
+}
+
+impl Put<'_> {
+    fn step(&mut self, client: &CosClient) -> Step<Result<ObjectMeta, StoreError>> {
+        let (bucket, key) = (self.charge.bucket, self.charge.key);
+        let data = &self.data;
+        self.charge
+            .step(client)
+            .map(|r| r.and_then(|_| client.store.put(bucket, key, data.clone())))
+    }
+}
+
+/// One GET: the store is read when it is issued, so a missing key fails
+/// at its first step without costing time.
+struct Get<'a> {
+    charge: Charge<'a>,
+    data: Result<Bytes, StoreError>,
+}
+
+impl Get<'_> {
+    fn step(&mut self, client: &CosClient) -> Step<Result<Bytes, StoreError>> {
+        let data = match &self.data {
+            Ok(data) => data,
+            Err(e) => return Step::Done(Err(e.clone())),
+        };
+        let (bucket, key) = (self.charge.bucket, self.charge.key);
+        self.charge
+            .step(client)
+            .map(|r| r.map(|token| client.maybe_corrupt(bucket, key, token, data.clone())))
     }
 }
 
@@ -469,12 +499,7 @@ impl CosClient {
         service: Duration,
     ) -> Result<u64, StoreError> {
         let mut charge = Charge::new(op, bucket, key, payload, service);
-        loop {
-            match charge.step(self) {
-                Step::Wait(d) => rustwren_sim::sleep(d),
-                Step::Done(result) => return result,
-            }
-        }
+        step_serial(|| charge.step(self))
     }
 
     /// Applies any scheduled GET corruption to a response body. The draw is
@@ -497,33 +522,57 @@ impl CosClient {
     /// Store errors from the service, or [`StoreError::Network`] after
     /// exhausting retries.
     pub fn put(&self, bucket: &str, key: &str, data: Bytes) -> Result<ObjectMeta, StoreError> {
+        let mut put = self.issue_put(bucket, key, data);
+        step_serial(|| put.step(self))
+    }
+
+    /// `PUT`s each object into `bucket` as [`put`](Self::put) would, over
+    /// `lanes` connections from the calling simulated thread (see
+    /// [`try_drive_lanes`]); returns the metadata in request order.
+    ///
+    /// # Errors
+    ///
+    /// The lowest-indexed failure; nothing more is sent after a failure.
+    pub fn put_many(
+        &self,
+        bucket: &str,
+        objects: &[(String, Bytes)],
+        lanes: usize,
+    ) -> Result<Vec<ObjectMeta>, StoreError> {
+        let puts = objects
+            .iter()
+            .map(|(key, data)| self.issue_put(bucket, key, data.clone()));
+        try_drive_lanes(puts, lanes, |put| put.step(self))
+    }
+
+    fn issue_put<'a>(&self, bucket: &'a str, key: &'a str, data: Bytes) -> Put<'a> {
         self.counters.count(&self.counters.puts);
         self.counters
             .bytes_out
             .fetch_add(data.len() as u64, Ordering::Relaxed);
-        self.charge(
-            CosOp::new("PUT", bucket, Some(key)),
-            bucket,
-            key,
-            data.len() as u64,
-            self.costs.data_op,
-        )?;
-        self.store.put(bucket, key, data)
+        Put {
+            charge: Charge::new(
+                CosOp::new("PUT", bucket, Some(key)),
+                bucket,
+                key,
+                data.len() as u64,
+                self.costs.data_op,
+            ),
+            data,
+        }
     }
 
     /// `PUT` an object using a multipart upload: parts of `part_size` bytes
-    /// transfer **concurrently** (each on its own simulated thread), so the
-    /// virtual cost approaches `size / (parts × bandwidth)` plus one
-    /// completion round trip — how the real COS SDKs move large payloads.
-    /// Falls back to a plain [`put`](CosClient::put) for small objects.
-    ///
-    /// At most [`SDK_LANES`] parts are in flight at a time, like the SDK
-    /// defaults.
+    /// transfer **concurrently**, at most [`SDK_LANES`] in flight like the
+    /// SDK defaults, so the virtual cost approaches
+    /// `size / (lanes × bandwidth)` plus one completion round trip — how
+    /// the real COS SDKs move large payloads. Falls back to a plain
+    /// [`put`](CosClient::put) for small objects.
     ///
     /// # Errors
     ///
-    /// Store errors from the service, or [`StoreError::Network`] if any
-    /// part exhausts its retries.
+    /// Store errors from the service, or [`StoreError::Network`] for the
+    /// lowest-numbered part that exhausts its retries.
     ///
     /// # Panics
     ///
@@ -540,49 +589,21 @@ impl CosClient {
             return self.put(bucket, key, data);
         }
         let part_count = data.len().div_ceil(part_size);
-        let threads = part_count.min(SDK_LANES);
-        let mut lanes: Vec<Vec<(usize, usize)>> = vec![Vec::new(); threads];
-        for i in 0..part_count {
-            let start = i * part_size;
-            let end = (start + part_size).min(data.len());
-            lanes[i % threads].push((start, end));
-        }
-        let handles: Vec<_> = lanes
-            .into_iter()
-            .enumerate()
-            .map(|(lane, parts)| {
-                let client = self.clone();
-                let bucket = bucket.to_owned();
-                let key = key.to_owned();
-                rustwren_sim::spawn(format!("mpu-{lane}"), move || {
-                    for (i, (start, end)) in parts.into_iter().enumerate() {
-                        client.counters.count(&client.counters.puts);
-                        client
-                            .counters
-                            .bytes_out
-                            .fetch_add((end - start) as u64, Ordering::Relaxed);
-                        client.charge(
-                            CosOp::new("PUT", &bucket, Some(&key))
-                                .with_suffix(OpSuffix::Part(lane, i)),
-                            &bucket,
-                            &key,
-                            (end - start) as u64,
-                            client.costs.data_op,
-                        )?;
-                    }
-                    Ok::<(), StoreError>(())
-                })
-            })
-            .collect();
-        let mut first_err = None;
-        for h in handles {
-            if let Err(e) = h.join() {
-                first_err.get_or_insert(e);
-            }
-        }
-        if let Some(e) = first_err {
-            return Err(e);
-        }
+        let lanes = part_count.min(SDK_LANES);
+        let parts = (0..part_count).map(|n| {
+            let len = (data.len() - n * part_size).min(part_size) as u64;
+            self.counters.count(&self.counters.puts);
+            self.counters.bytes_out.fetch_add(len, Ordering::Relaxed);
+            Charge::new(
+                CosOp::new("PUT", bucket, Some(key))
+                    .with_suffix(OpSuffix::Part(n % lanes, n / lanes)),
+                bucket,
+                key,
+                len,
+                self.costs.data_op,
+            )
+        });
+        try_drive_lanes(parts, lanes, |part| part.step(self))?;
         // Complete-multipart-upload request.
         self.charge(
             CosOp::new("POST", bucket, Some(key)).with_suffix(OpSuffix::Const(" complete")),
@@ -621,37 +642,32 @@ impl CosClient {
     }
 
     fn get_one(&self, req: GetReq<'_>) -> Result<Bytes, StoreError> {
-        // HEAD-sized request out, payload back: charge on payload size.
-        let data = self.read(&req)?;
-        let token = self.charge(
-            req.op(),
-            req.bucket,
-            req.key,
-            data.len() as u64,
-            self.costs.data_op,
-        )?;
-        Ok(self.maybe_corrupt(req.bucket, req.key, token, data))
+        let mut get = self.issue_get(&req);
+        step_serial(|| get.step(self))
     }
 
-    /// The store read a GET makes when it is issued, tallied once per
-    /// request that gets as far as the network.
-    fn read(&self, req: &GetReq<'_>) -> Result<Bytes, StoreError> {
+    /// Issues a GET: reads the store (tallying one GET per request that
+    /// gets as far as the network) and charges on the payload size, a
+    /// HEAD-sized request out and the payload back.
+    fn issue_get<'a>(&self, req: &GetReq<'a>) -> Get<'a> {
         let data = match req.range {
-            Some((start, end)) => self.store.get_range(req.bucket, req.key, start, end)?,
-            None => self.store.get(req.bucket, req.key)?,
+            Some((start, end)) => self.store.get_range(req.bucket, req.key, start, end),
+            None => self.store.get(req.bucket, req.key),
         };
-        self.counters.count(&self.counters.gets);
-        self.counters
-            .bytes_in
-            .fetch_add(data.len() as u64, Ordering::Relaxed);
-        Ok(data)
+        let len = data.as_ref().map_or(0, Bytes::len) as u64;
+        if data.is_ok() {
+            self.counters.count(&self.counters.gets);
+            self.counters.bytes_in.fetch_add(len, Ordering::Relaxed);
+        }
+        Get {
+            charge: Charge::new(req.op(), req.bucket, req.key, len, self.costs.data_op),
+            data,
+        }
     }
 
     /// Issues a batch of GETs over `lanes` concurrent connections from the
-    /// calling simulated thread, without spawning any: each lane issues
-    /// the next queued request as soon as its previous one finishes, and
-    /// the caller sleeps until the earliest lane event. Results come back
-    /// in request order, one per request.
+    /// calling simulated thread (see [`drive_lanes`]). Results come back in
+    /// request order, one per request.
     ///
     /// Every request follows exactly the rules of a serial
     /// [`get`](CosClient::get): the store is read when the request is
@@ -664,87 +680,9 @@ impl CosClient {
     /// lanes `n` fault-free requests take about `ceil(n/K)` round trips.
     /// A `lanes` of zero is treated as one.
     pub fn get_many(&self, reqs: &[GetReq<'_>], lanes: usize) -> Vec<Result<Bytes, StoreError>> {
-        struct Flight<'r> {
-            req: usize,
-            data: Bytes,
-            charge: Charge<'r>,
-            due: SimInstant,
-        }
-        let mut out: Vec<Option<Result<Bytes, StoreError>>> = reqs.iter().map(|_| None).collect();
-        let mut queue = reqs.iter().enumerate();
-        let mut flights: Vec<Option<Flight<'_>>> = (0..lanes.clamp(1, reqs.len().max(1)))
-            .map(|_| None)
-            .collect();
-        loop {
-            let now = rustwren_sim::now();
-            // Idle lanes issue the next queued requests, in lane order.
-            for lane in flights.iter_mut().filter(|l| l.is_none()) {
-                for (i, req) in queue.by_ref() {
-                    let data = match self.read(req) {
-                        Ok(data) => data,
-                        Err(e) => {
-                            if let Some(slot) = out.get_mut(i) {
-                                *slot = Some(Err(e));
-                            }
-                            continue;
-                        }
-                    };
-                    let mut charge = Charge::new(
-                        req.op(),
-                        req.bucket,
-                        req.key,
-                        data.len() as u64,
-                        self.costs.data_op,
-                    );
-                    // A fresh charge always issues its first attempt.
-                    if let Step::Wait(cost) = charge.step(self) {
-                        *lane = Some(Flight {
-                            req: i,
-                            data,
-                            charge,
-                            due: now + cost,
-                        });
-                        break;
-                    }
-                }
-            }
-            // The earliest lane event; ties go to the lowest lane.
-            let Some((due, l)) = flights
-                .iter()
-                .enumerate()
-                .filter_map(|(l, f)| f.as_ref().map(|f| (f.due, l)))
-                .min()
-            else {
-                break;
-            };
-            if due > now {
-                rustwren_sim::sleep(due.duration_since(now));
-            }
-            let Some(slot) = flights.get_mut(l) else {
-                break;
-            };
-            let Some(flight) = slot.as_mut() else {
-                break;
-            };
-            match flight.charge.step(self) {
-                Step::Wait(d) => flight.due = rustwren_sim::now() + d,
-                Step::Done(result) => {
-                    let Some(f) = slot.take() else {
-                        break;
-                    };
-                    let result = result.map(|token| {
-                        self.maybe_corrupt(f.charge.bucket, f.charge.key, token, f.data)
-                    });
-                    if let Some(slot) = out.get_mut(f.req) {
-                        *slot = Some(result);
-                    }
-                }
-            }
-        }
-        out.into_iter()
-            .zip(reqs)
-            .map(|(r, req)| r.unwrap_or_else(|| Err(never_issued(req))))
-            .collect()
+        drive_lanes(reqs.iter().map(|req| self.issue_get(req)), lanes, |get| {
+            get.step(self)
+        })
     }
 
     /// `HEAD` an object.
@@ -839,20 +777,10 @@ impl CosClient {
     }
 }
 
-/// The result of a batch entry that never reached the network. Unreachable
-/// by construction (every request is issued once), but typed rather than a
-/// panic on the agent hot path.
-fn never_issued(req: &GetReq<'_>) -> StoreError {
-    StoreError::Network {
-        op: req.op().to_string(),
-        attempts: 0,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rustwren_sim::Kernel;
+    use rustwren_sim::{Kernel, SimInstant};
     use std::sync::Arc;
 
     /// Token-stream parity: the zero-alloc op identity must hash exactly
@@ -1000,6 +928,66 @@ mod tests {
             client.store().head("b", "multi").unwrap().size,
             data.len() as u64
         );
+    }
+
+    #[test]
+    fn multipart_parts_run_in_waves_of_sdk_lanes() {
+        // 40 one-byte parts over 16 lanes: three waves of service time,
+        // then the completion, on an instant network.
+        let (kernel, client) = setup(NetworkProfile::instant());
+        let data = Bytes::from((0..40u8).collect::<Vec<_>>());
+        kernel
+            .run("client", || client.put_multipart("b", "k", data.clone(), 1))
+            .unwrap();
+        let costs = CosCosts::default();
+        assert_eq!(
+            kernel.now().duration_since(SimInstant::ZERO),
+            costs.data_op * 3 + costs.head_op
+        );
+        let ops = client.counters().snapshot();
+        assert_eq!((ops.puts, ops.bytes_out), (40, 40));
+        assert_eq!(client.store().get("b", "k").unwrap(), data);
+    }
+
+    #[test]
+    fn multipart_retries_lost_parts_and_stops_at_an_exhausted_one() {
+        let data = Bytes::from((0..40u8).collect::<Vec<_>>());
+        let upload = |net: NetworkProfile, attempts: u32| {
+            let (kernel, client) = setup(net);
+            let client = client.with_max_attempts(attempts);
+            let got = kernel.run("client", || client.put_multipart("b", "k", data.clone(), 1));
+            let elapsed = kernel.now().duration_since(SimInstant::ZERO);
+            (got, elapsed, client.counters().snapshot().puts, client)
+        };
+        // Lost attempts are retried on their lanes: the upload lands late,
+        // with one PUT counted per part, not per attempt.
+        let (got, clean, ..) = upload(NetworkProfile::wan().with_failure_rate(0.0), 8);
+        assert!(got.is_ok());
+        let (got, lossy, puts, client) = upload(NetworkProfile::wan().with_failure_rate(0.3), 8);
+        assert_eq!(got.map(|meta| meta.size), Ok(40));
+        assert!(lossy > clean, "a lost part was retried: {lossy:?}");
+        assert_eq!(puts, 40);
+        assert_eq!(client.store().get("b", "k").unwrap(), data);
+        // Every attempt lost: the first wave of 16 parts exhausts its
+        // retries together, the other 24 parts are never sent, and the
+        // lowest-numbered part's error is returned.
+        let (got, elapsed, puts, client) =
+            upload(NetworkProfile::instant().with_failure_rate(1.0), 2);
+        assert_eq!(
+            got,
+            Err(StoreError::Network {
+                op: "PUT b/k part 0.0".into(),
+                attempts: 2
+            })
+        );
+        assert_eq!(puts, 16);
+        assert!(client.store().head("b", "k").is_err());
+        let (kernel, one) = setup(NetworkProfile::instant().with_failure_rate(1.0));
+        let one = one.with_max_attempts(2);
+        kernel
+            .run("client", || one.put("b", "k", Bytes::from_static(b"x")))
+            .unwrap_err();
+        assert_eq!(kernel.now().duration_since(SimInstant::ZERO), elapsed);
     }
 
     #[test]
@@ -1251,6 +1239,77 @@ mod tests {
         assert!(serial.0.iter().any(Result::is_err), "some entries failed");
         assert!(!serial.3.is_empty(), "the chaos plan fired");
         assert_eq!(batched, serial);
+    }
+
+    #[test]
+    fn put_many_with_one_lane_replays_serial_puts_bit_for_bit() {
+        use rustwren_sim::chaos::{ChaosEngine, FaultPlan, PathScope, TimeWindow};
+
+        // Lossy WAN plus a brownout: retries, backoffs and injected faults
+        // all depend on each attempt's token, so equal metadata (stamped at
+        // each PUT's completion instant), clocks and fault logs mean equal
+        // tokens.
+        let objects: Vec<(String, Bytes)> = (0..12)
+            .map(|i| (format!("k{i}"), Bytes::from(vec![i as u8; 100 + 37 * i])))
+            .collect();
+        let run = |batched: bool| {
+            let (kernel, client) = setup(NetworkProfile::wan().with_failure_rate(0.2));
+            let chaos = Arc::new(ChaosEngine::new(FaultPlan::new(5).cos_brownout(
+                PathScope::any(),
+                TimeWindow::between(Duration::from_millis(300), Duration::from_secs(2)),
+                0.5,
+            )));
+            kernel.install_chaos(Arc::clone(&chaos));
+            let results = kernel.run("client", || {
+                if batched {
+                    client.put_many("b", &objects, 1)
+                } else {
+                    objects
+                        .iter()
+                        .map(|(k, d)| client.put("b", k, d.clone()))
+                        .collect()
+                }
+            });
+            (
+                results,
+                kernel.now(),
+                client.counters().snapshot(),
+                chaos.fault_log(),
+            )
+        };
+        let serial = run(false);
+        let batched = run(true);
+        assert!(!serial.3.is_empty(), "the chaos plan fired");
+        assert_eq!(batched, serial);
+    }
+
+    #[test]
+    fn put_many_counts_one_put_per_request_and_obeys_the_lane_floor() {
+        let n = 37;
+        let objects: Vec<(String, Bytes)> = (0..n)
+            .map(|i| (format!("k{i}"), Bytes::from(vec![i as u8; 10 + i])))
+            .collect();
+        let data_op = CosCosts::default().data_op;
+        for k in [1, 4, 64] {
+            // Service time alone is the whole cost on an instant network.
+            let (kernel, client) = setup(NetworkProfile::instant());
+            let got = kernel.run("client", || client.put_many("b", &objects, k));
+            assert_eq!(got.map(|metas| metas.len()), Ok(n));
+            let ops = client.counters().snapshot();
+            assert_eq!((ops.puts, ops.total_ops()), (n as u64, n as u64));
+            assert_eq!(
+                ops.bytes_out,
+                objects.iter().map(|(_, d)| d.len() as u64).sum::<u64>()
+            );
+            assert_eq!(
+                kernel.now().duration_since(SimInstant::ZERO),
+                data_op * n.div_ceil(k) as u32,
+                "k={k}"
+            );
+            for (key, data) in &objects {
+                assert_eq!(&client.store().get("b", key).unwrap(), data);
+            }
+        }
     }
 
     #[test]

@@ -366,23 +366,28 @@ fn cloudsort_random_schedule_fingerprints_are_stable() {
 // the schedule tokens lost the pool's choice points. The map_reduce
 // goldens did not move: their one reducer future was already fetched
 // serially on the polling thread.
-const FIFO_MAP: &str = "r=610214d1d0716dec adv=42 tmr=54 thr=12 vt=2775363273 trace=v1:";
-const FIFO_MAP_REDUCE: &str = "r=dd2c71163533fe08 adv=50 tmr=62 thr=13 vt=2883966541 trace=v1:";
+// Map, map_reduce and CloudSort re-blessed again when input uploads and
+// invocation batches became lanes on the caller's thread instead of
+// `upload-`/`spawn-`/`invoker-` thread pools: results, clock advances and
+// virtual end are unchanged; the thread count, the timers the pool
+// threads armed and the schedule tokens (fewer choice points) moved.
+const FIFO_MAP: &str = "r=610214d1d0716dec adv=42 tmr=50 thr=7 vt=2775363273 trace=v1:";
+const FIFO_MAP_REDUCE: &str = "r=dd2c71163533fe08 adv=50 tmr=58 thr=7 vt=2883966541 trace=v1:";
 // CloudSort was first re-blessed when reducers began gathering their
 // dependencies over concurrent COS lanes: results, thread count and
 // schedule tokens were unchanged; only the clock advances, timers and
 // virtual end moved.
-const FIFO_CLOUDSORT: &str = "r=9a876e1b9c41e132 adv=111 tmr=132 thr=20 vt=3417625311 trace=v1:";
+const FIFO_CLOUDSORT: &str = "r=9a876e1b9c41e132 adv=111 tmr=125 thr=11 vt=3417625311 trace=v1:";
 const FIFO_BURST: &str = "r=7b0471a08affaf50 adv=312 tmr=312 thr=104 vt=59766401093 trace=v1:";
 const RAND_MAP: [&str; 2] = [
-    "r=610214d1d0716dec adv=42 tmr=54 thr=12 vt=2775363273 trace=v1:0p1,1r4,3r1,6t2,8t1,9t2,18p1,29t3,30t3,31t1,32t1,34t3",
-    "r=610214d1d0716dec adv=42 tmr=54 thr=12 vt=2775363273 trace=v1:3r2,4r1,5t1,14r1,24t4,25t3,26t1,27t1,28t3,30t1,31t1",
+    "r=610214d1d0716dec adv=42 tmr=50 thr=7 vt=2775363273 trace=v1:0p1,6p1,11p1,20r1,29t3,30t3,31t1,32t1,34t3",
+    "r=610214d1d0716dec adv=42 tmr=50 thr=7 vt=2775363273 trace=v1:24r2,28r1,34p1,39t3,40t1,43t4,45t2,46t1",
 ];
 const RAND_MAP_REDUCE: [&str; 2] = [
-    "r=dd2c71163533fe08 adv=50 tmr=62 thr=13 vt=2883966541 trace=v1:0p1,1r4,3r1,6t2,8t1,14t2,29t3,30t3,31t1,32t1,34t3",
-    "r=dd2c71163533fe08 adv=50 tmr=62 thr=13 vt=2883966541 trace=v1:3r2,4r1,5t1,9r1,23r1,29t4,30t3,32t1,33t1,35t1",
+    "r=dd2c71163533fe08 adv=50 tmr=58 thr=7 vt=2883966541 trace=v1:0p1,6p1,11p1,24r1,31p1,36t3,37t3,38t1,40t3,41t3,42t2",
+    "r=dd2c71163533fe08 adv=50 tmr=58 thr=7 vt=2883966541 trace=v1:27p1,28r2,30p1,31r1,37r1,48t2,49t1,52t2,54t1",
 ];
 const RAND_CLOUDSORT: [&str; 2] = [
-    "r=9a876e1b9c41e132 adv=111 tmr=132 thr=20 vt=3417625311 trace=v1:0p1,1r4,3r1,6t2,8t1,9t2,18p1,30r1,31r1,32t1,34t2,47t3,48t1,50t1,51t3,52t2,55t1,56t2,57t1,58t3",
-    "r=9a876e1b9c41e132 adv=111 tmr=132 thr=20 vt=3417625311 trace=v1:3r2,4r1,5t1,14r1,24r3,25r2,26r1,27t1,29t2,36p1,46t3,47t2,51t2,53t1,54t1,55t1,57t1,58t1,59t1",
+    "r=9a876e1b9c41e132 adv=111 tmr=125 thr=11 vt=3417625311 trace=v1:0p1,6p1,11p1,20r1,31p1,49r1,53r1,57t4,58t3,61t2,63t1,65t1,66t1,67t1,68t2,69t1",
+    "r=9a876e1b9c41e132 adv=111 tmr=125 thr=11 vt=3417625311 trace=v1:24r2,28r1,34p1,40p1,58r2,62r1,63p1,68t1,69t1,73t1,75t2,76t3,77t1,79t2,80t1",
 ];
